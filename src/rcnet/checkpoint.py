@@ -142,8 +142,8 @@ def _install(network: Network, table: dict[str, np.ndarray], path) -> None:
         dst[...] = src
 
 
-def load_checkpoint(path) -> tuple[Network, dict]:
-    """Rebuild the stored network; returns (network, trainer_state)."""
+def _read_checkpoint(path) -> tuple[NetworkSpec, dict[str, np.ndarray], dict]:
+    """(stored spec, tensor table, header) of a checkpoint file."""
     data = Path(path).read_bytes()
     header, offset = _read_header(data, path)
     try:
@@ -151,27 +151,31 @@ def load_checkpoint(path) -> tuple[Network, dict]:
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: invalid network spec in header ({e})") \
             from e
-    network = build_network(spec, seed=0)
-    _install(network, _read_tensors(data, offset, path), path)
+    return spec, _read_tensors(data, offset, path), header
+
+
+def _restore(network: Network, table: dict[str, np.ndarray], header: dict,
+             path) -> dict:
+    _install(network, table, path)
     network.trained_support = header.get("trained_support")
-    state = {"iteration": header.get("iteration", 0),
-             "epoch": header.get("epoch", 0),
-             "rng": header.get("rng")}
-    return network, state
+    return {"iteration": header.get("iteration", 0),
+            "epoch": header.get("epoch", 0),
+            "rng": header.get("rng")}
+
+
+def load_checkpoint(path) -> tuple[Network, dict]:
+    """Rebuild the stored network; returns (network, trainer_state)."""
+    spec, table, header = _read_checkpoint(path)
+    network = build_network(spec, seed=0)
+    return network, _restore(network, table, header, path)
 
 
 def restore_into(network: Network, path) -> dict:
     """Load a checkpoint into an existing network; the stored spec must
     match the network's spec exactly."""
-    data = Path(path).read_bytes()
-    header, offset = _read_header(data, path)
-    stored = NetworkSpec.from_dict(header["spec"])
+    stored, table, header = _read_checkpoint(path)
     if stored != network.spec:
         raise CheckpointError(
             f"{path}: checkpoint was written for a different network spec "
             f"({stored.to_dict()} != {network.spec.to_dict()})")
-    _install(network, _read_tensors(data, offset, path), path)
-    network.trained_support = header.get("trained_support")
-    return {"iteration": header.get("iteration", 0),
-            "epoch": header.get("epoch", 0),
-            "rng": header.get("rng")}
+    return _restore(network, table, header, path)

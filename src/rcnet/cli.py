@@ -175,17 +175,54 @@ def cmd_train(args) -> None:
     print(f"wrote {out_dir}")
 
 
-def cmd_eval(args) -> None:
+def _load_network(path, step: int):
+    """Load a checkpoint and check that it can run unified step ``step``."""
     from .checkpoint import load_checkpoint
-    from .config import build_datasets
     from .errors import ConfigError
+
+    network, _ = load_checkpoint(path)
+    if not 1 <= step <= network.max_step:
+        raise ConfigError(f"step {step} outside [1, {network.max_step}]")
+    support = network.trained_support
+    if support is not None and step not in support:
+        raise ConfigError(
+            f"step {step} outside the trained support {sorted(support)}")
+    return network
+
+
+def _load_input(path, spec):
+    """Read a .pgm image or a [C,H,W]/[N,C,H,W] .rct tensor as a batch
+    the network of ``spec`` can run."""
+    from .data import read_pgm, read_rct
+    from .errors import DataError
+
+    in_path = Path(path)
+    if in_path.suffix == ".pgm":
+        x = read_pgm(in_path)[None, None, :, :]
+    elif in_path.suffix == ".rct":
+        x = read_rct(in_path)
+        if x.ndim == 3:
+            x = x[None]
+    else:
+        raise DataError(f"{in_path}: expected a .pgm or .rct input")
+    if x.ndim != 4:
+        raise DataError(f"{in_path}: expected [C,H,W] or [N,C,H,W] tensor, "
+                        f"got shape {x.shape}")
+    _, c, h, w = x.shape
+    if c != spec.image_shape[0]:
+        raise DataError(f"{in_path}: {c} channels, the network expects "
+                        f"{spec.image_shape[0]}")
+    if h % spec.size_multiple or w % spec.size_multiple:
+        raise DataError(f"{in_path}: {h}x{w} image, arch '{spec.arch}' "
+                        f"needs multiples of {spec.size_multiple}")
+    return x
+
+
+def cmd_eval(args) -> None:
+    from .config import build_datasets
     from .training import evaluate_classification, evaluate_denoise
 
-    network, _ = load_checkpoint(args.checkpoint)
-    support = network.trained_support
-    if support is not None and args.step not in support:
-        raise ConfigError(
-            f"step {args.step} outside the trained support {sorted(support)}")
+    network = _load_network(args.checkpoint, args.step)
     cfg = _load_config(args.config)
     _, test_set = build_datasets(cfg)
     if network.spec.task == "classify":
@@ -209,43 +246,21 @@ def cmd_eval(args) -> None:
 def cmd_infer(args) -> None:
     import numpy as np
 
-    from .checkpoint import load_checkpoint
-    from .data import read_pgm, read_rct, write_pgm, write_rct
-    from .errors import ConfigError, DataError
-    from .networks import cost_report
+    from .data import write_pgm, write_rct
+    from .networks import step_cost
     from .training import infer
 
-    network, _ = load_checkpoint(args.checkpoint)
-    support = network.trained_support
-    if support is not None and args.step not in support:
-        raise ConfigError(
-            f"step {args.step} outside the trained support {sorted(support)}")
-
-    in_path = Path(args.input)
-    if in_path.suffix == ".pgm":
-        img = read_pgm(in_path)
-        x = img[None, None, :, :]
-        fmt = "pgm"
-    elif in_path.suffix == ".rct":
-        arr = read_rct(in_path)
-        if arr.ndim == 3:
-            arr = arr[None]
-        if arr.ndim != 4:
-            raise DataError(f"{in_path}: expected [C,H,W] or [N,C,H,W] tensor")
-        x = arr
-        fmt = "rct"
-    else:
-        raise DataError(f"{in_path}: expected a .pgm or .rct input")
-
+    network = _load_network(args.checkpoint, args.step)
+    x = _load_input(args.input, network.spec)
     out = infer(network, x, args.step)
-    flops = cost_report(network.spec).flops_per_step[args.step]
+    flops, _, _ = step_cost(network, args.step)
     if network.spec.task == "classify":
         label = int(out.argmax(axis=1)[0])
         write_rct(args.output, out)
         print(f"infer step={args.step} flops={flops} label={label} "
               f"output={args.output}")
     else:
-        if fmt == "pgm":
+        if Path(args.input).suffix == ".pgm":
             write_pgm(args.output, np.clip(out[0, 0], 0, 255))
         else:
             write_rct(args.output, out)
@@ -285,11 +300,10 @@ def cmd_cost(args) -> None:
 def cmd_expand_check(args) -> None:
     import numpy as np
 
-    from .checkpoint import load_checkpoint
     from .errors import NumericalCheckError
     from .networks import expand_to_standard
 
-    network, _ = load_checkpoint(args.checkpoint)
+    network = _load_network(args.checkpoint, args.step)
     expanded = expand_to_standard(network, args.step)
     c, h, w = network.spec.image_shape
     rng = np.random.default_rng(args.seed)
@@ -324,23 +338,15 @@ def cmd_export_bn(args) -> None:
 
 
 def cmd_export_features(args) -> None:
-    from .checkpoint import load_checkpoint
-    from .data import read_pgm, read_rct, write_rct
-    from .errors import ConfigError, DataError
+    from .data import write_rct
+    from .errors import ConfigError
 
-    network, _ = load_checkpoint(args.checkpoint)
+    network = _load_network(args.checkpoint, args.step)
     if args.cell not in network.cells():
         raise ConfigError(
             f"no recurrent cell named '{args.cell}'; cells: "
             f"{sorted(network.cells())}")
-    in_path = Path(args.input)
-    if in_path.suffix == ".pgm":
-        x = read_pgm(in_path)[None, None, :, :]
-    elif in_path.suffix == ".rct":
-        arr = read_rct(in_path)
-        x = arr[None] if arr.ndim == 3 else arr
-    else:
-        raise DataError(f"{in_path}: expected a .pgm or .rct input")
+    x = _load_input(args.input, network.spec)
 
     collected: list = []
     network.forward(x, args.step, training=False, update_stats=False,

@@ -13,9 +13,8 @@ from pathlib import Path
 from .errors import ConfigError
 from .networks import NetworkSpec
 from .rc import StepDistribution
-from .training import TrainConfig
+from .training import TrainConfig, check_regime
 
-REGIMES = ("fixed", "cost_adjustable", "aggregated")
 DATA_KINDS = ("synthetic_classify", "cifar10", "synthetic_denoise",
               "pgm_folder")
 
@@ -121,55 +120,34 @@ class ExperimentConfig:
     output: OutputConfig
 
     def resolved_text(self) -> str:
-        """Full key=value dump (defaults expanded); feeding this back in
-        reproduces the run."""
+        """Full key=value dump (defaults expanded) in SCHEMA order;
+        feeding this back in reproduces the run."""
         spec, tc = self.network, self.train
-        lines = [
-            "[network]",
-            f"arch = {spec.arch}",
-            f"bn_mode = {spec.bn_mode}",
-            f"max_step = {spec.max_step}",
-            f"widths = {','.join(map(str, spec.widths))}",
-            f"image_channels = {spec.image_shape[0]}",
-            f"image_size = {spec.image_shape[1]}",
-            f"num_classes = {spec.num_classes if spec.num_classes else 0}",
-            f"precision = {spec.precision}",
-            f"bn_eps = {spec.bn_eps!r}",
-            f"bn_momentum = {spec.bn_momentum!r}",
-            "",
-            "[train]",
-            f"lr = {tc.lr!r}",
-            f"momentum = {tc.momentum!r}",
-            f"weight_decay = {tc.weight_decay!r}",
-            f"shared_lr_scale = {tc.shared_lr_scale!r}",
-            f"clip_max_norm = {tc.clip_max_norm!r}",
-            f"epochs = {tc.epochs}",
-            f"batch_size = {tc.batch_size}",
-            f"regime = {self.regime}",
-            f"step_support = {','.join(map(str, tc.step_distribution.support))}",
-            f"step_probs = {','.join(repr(p) for p in tc.step_distribution.probs)}",
-            f"seed = {tc.seed}",
-            f"eval_each_epoch = {str(tc.eval_each_epoch).lower()}",
-            "",
-            "[data]",
-            f"kind = {self.data.kind}",
-        ]
-        if self.data.path is not None:
-            lines.append(f"path = {self.data.path}")
-        lines += [
-            f"samples = {self.data.samples}",
-            f"test_samples = {self.data.test_samples}",
-            f"pattern_noise = {self.data.pattern_noise!r}",
-            f"sigma = {self.data.sigma!r}",
-            f"count = {self.data.count}",
-            f"test_count = {self.data.test_count}",
-            f"patch_size = {self.data.patch_size}",
-            "",
-            "[output]",
-            f"dir = {self.output.dir}",
-            f"save_best = {str(self.output.save_best).lower()}",
-            "",
-        ]
+        values = {
+            "network": {**vars(spec), "image_channels": spec.image_shape[0],
+                        "image_size": spec.image_shape[1],
+                        "num_classes": spec.num_classes or 0},
+            "train": {**vars(tc), "regime": self.regime,
+                      "step_support": tc.step_distribution.support,
+                      "step_probs": tc.step_distribution.probs},
+            "data": vars(self.data),
+            "output": vars(self.output),
+        }
+        lines = []
+        for section, keys in SCHEMA.items():
+            lines.append(f"[{section}]")
+            for key in keys:
+                v = values[section][key]
+                if v is None:
+                    continue
+                if isinstance(v, bool):
+                    v = str(v).lower()
+                elif isinstance(v, tuple):
+                    v = ",".join(map(repr, v))
+                elif not isinstance(v, str):
+                    v = repr(v)
+                lines.append(f"{key} = {v}")
+            lines.append("")
         return "\n".join(lines)
 
 
@@ -217,9 +195,6 @@ def _assemble(v: dict, path) -> ExperimentConfig:
     net, tr, da, out = v["network"], v["train"], v["data"], v["output"]
 
     regime = tr["regime"]
-    if regime not in REGIMES:
-        raise ConfigError(f"{path}: unknown regime '{regime}' "
-                          f"(expected one of {REGIMES})")
     if da["kind"] not in DATA_KINDS:
         raise ConfigError(f"{path}: unknown data kind '{da['kind']}' "
                           f"(expected one of {DATA_KINDS})")
@@ -243,14 +218,10 @@ def _assemble(v: dict, path) -> ExperimentConfig:
     except ValueError as e:
         raise ConfigError(f"{path}: bad step distribution: {e}") from e
 
-    if regime == "fixed" and not dist.is_singleton:
-        raise ConfigError(
-            f"{path}: regime 'fixed' needs a singleton step_support, got "
-            f"{list(dist.support)}")
-    if dist.support[-1] > net["max_step"]:
-        raise ConfigError(
-            f"{path}: step_support {list(dist.support)} exceeds max_step "
-            f"{net['max_step']}")
+    try:
+        check_regime(regime, net["bn_mode"], dist, net["max_step"])
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
     arch = net["arch"]
     task = "denoise" if arch == "r3" else "classify"
@@ -267,12 +238,6 @@ def _assemble(v: dict, path) -> ExperimentConfig:
             bn_momentum=net["bn_momentum"])
     except ValueError as e:
         raise ConfigError(f"{path}: invalid [network] section: {e}") from e
-
-    if regime in ("cost_adjustable", "aggregated") \
-            and spec.bn_mode != "double_independent":
-        raise ConfigError(
-            f"{path}: regime '{regime}' requires bn_mode "
-            f"'double_independent', got '{spec.bn_mode}'")
 
     try:
         tcfg = TrainConfig(

@@ -1,5 +1,6 @@
 """Layer blocks: batch-norm parameter groups, shared-weight cell bodies,
-and the stem/head layers around them.
+the pipeline-stage protocol, and the conv and classifier layers around
+the cells.
 
 Cell bodies keep input and output channel counts equal so they can be
 applied repeatedly; the two supported kinds are the pre-activation
@@ -8,6 +9,7 @@ residual block (2 convs, 2 BN slots) and conv-BN-ReLU (1 conv, 1 slot).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -134,10 +136,48 @@ def run_cell_body(body: CellBody, x, bn_groups, training: bool,
     return F.relu(bn(h, 0))
 
 
-class Stem:
-    """Single 3x3 convolution lifting image channels to the cell width."""
+class Module:
+    """One stage of a network pipeline.
+
+    ``named_bn_groups(prefix)`` yields ``(name, (step, index, slot), group)``
+    for every BN group the stage owns, with step/index 0 where not
+    applicable. ``untie(step)`` returns the ``(name suffix, module)``
+    stages of the standard feedforward network that this stage computes
+    at unified step ``step``; nothing is aliased with the source.
+    """
 
     recurrent = False
+
+    def named_parameters(self, prefix):
+        return iter(())
+
+    def named_bn_groups(self, prefix):
+        return iter(())
+
+    def untie(self, step: int) -> list:
+        return [("", copy.deepcopy(self))]
+
+    def _bn_parameters(self, prefix):
+        for name, _, g in self.named_bn_groups(prefix):
+            yield f"{name}.gamma", g.gamma
+            yield f"{name}.beta", g.beta
+
+
+def step_groups(prefix: str, groups, per_step: bool, slot: int = 0):
+    """Name and address the BN groups of one non-recurrent BN layer: one
+    group per unified step (``prefix.s<s>`` at step s) when ``per_step``,
+    else a single group (``prefix``, step 0)."""
+    if per_step:
+        for s, g in enumerate(groups, start=1):
+            yield f"{prefix}.s{s}", (s, 0, slot), g
+    else:
+        for g in groups:
+            yield prefix, (0, 0, slot), g
+
+
+class ConvLayer(Module):
+    """Single biased 3x3 convolution: the stem lifting image channels to
+    the cell width, or the denoise head mapping it back."""
 
     def __init__(self, in_channels: int, out_channels: int,
                  rng: np.random.Generator, dtype):
@@ -151,11 +191,8 @@ class Stem:
         yield f"{prefix}.weight", self.weight
         yield f"{prefix}.bias", self.bias
 
-    def named_bn_groups(self, prefix):
-        return iter(())
 
-
-class ClassifierHead:
+class ClassifierHead(Module):
     """BN + ReLU + global average pool + linear classifier.
 
     In cost-adjustable networks the BN group is banked per unified step
@@ -164,13 +201,10 @@ class ClassifierHead:
     the normalization for BN-free networks.
     """
 
-    recurrent = False
-
     def __init__(self, channels: int, num_classes: int,
                  rng: np.random.Generator, dtype, use_bn: bool = True,
                  per_step: bool = False, max_step: int = 1,
                  eps: float = 1e-5, momentum: float = 0.1):
-        self.use_bn = use_bn
         self.per_step = per_step and use_bn
         n_groups = max_step if self.per_step else 1
         self.bn_groups = ([BnGroup.create(channels, dtype, eps, momentum)
@@ -180,7 +214,7 @@ class ClassifierHead:
 
     def apply(self, x, step, training, update_stats):
         h = x
-        if self.use_bn:
+        if self.bn_groups:
             group = self.bn_groups[step - 1 if self.per_step else 0]
             h = F.batchnorm2d(h, group, training, update_stats)
         h = F.relu(h)
@@ -188,38 +222,15 @@ class ClassifierHead:
         return F.linear(h, self.weight, self.bias)
 
     def named_parameters(self, prefix):
-        for name, g in self.named_bn_groups(prefix):
-            yield f"{name}.gamma", g.gamma
-            yield f"{name}.beta", g.beta
+        yield from self._bn_parameters(prefix)
         yield f"{prefix}.linear.weight", self.weight
         yield f"{prefix}.linear.bias", self.bias
 
     def named_bn_groups(self, prefix):
-        if not self.use_bn:
-            return
-        if self.per_step:
-            for s, g in enumerate(self.bn_groups, start=1):
-                yield f"{prefix}.bn.s{s}", g
-        else:
-            yield f"{prefix}.bn", self.bn_groups[0]
+        return step_groups(f"{prefix}.bn", self.bn_groups, self.per_step)
 
-
-class DenoiseHead:
-    """3x3 convolution mapping cell width back to image channels."""
-
-    recurrent = False
-
-    def __init__(self, channels: int, image_channels: int,
-                 rng: np.random.Generator, dtype):
-        self.weight = he_conv(rng, image_channels, channels, 3, dtype)
-        self.bias = Parameter(np.zeros(image_channels, dtype=dtype))
-
-    def apply(self, x, step, training, update_stats):
-        return F.conv2d(x, self.weight, self.bias, stride=1, padding=1)
-
-    def named_parameters(self, prefix):
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
-
-    def named_bn_groups(self, prefix):
-        return iter(())
+    def untie(self, step: int) -> list:
+        head = copy.deepcopy(self)
+        if head.per_step:
+            head.bn_groups, head.per_step = [head.bn_groups[step - 1]], False
+        return [("", head)]

@@ -10,21 +10,23 @@ Three architectures are built here:
   to 512) with non-recurrent downsampling transitions, as in a 34-layer
   residual network whose repeated blocks are replaced by recurrent cells.
 
-Also houses the untied-expansion oracle and parameter/depth/FLOP reports
-derived purely from a :class:`NetworkSpec`.
+Also houses the untied-expansion oracle, the BN export table, and the
+parameter/depth/FLOP report, all derived from the built network: each
+module names and addresses its own BN groups and unties itself, and the
+report counts the parameters and a traced forward of the network.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import functional as F
-from .autodiff import Parameter, Tensor
-from .layers import (BnGroup, CellBody, ClassifierHead, DenoiseHead, Stem,
-                     he_conv, run_cell_body)
+from .autodiff import Parameter, Tape, Tensor
+from .layers import (BnGroup, CellBody, ClassifierHead, ConvLayer, Module,
+                     he_conv, run_cell_body, step_groups)
 from .rc import BN_MODES, BnBank, RcCell, unroll
 
 ARCHS = ("r2", "r3", "r4")
@@ -82,46 +84,38 @@ class NetworkSpec:
                 raise ValueError("classification needs num_classes >= 2")
         if len(self.image_shape) != 3 or any(v < 1 for v in self.image_shape):
             raise ValueError(f"bad image_shape {self.image_shape}")
+        _, h, w = self.image_shape
+        if h % self.size_multiple or w % self.size_multiple:
+            raise ValueError(
+                f"arch '{self.arch}' halves H and W three times, so the image "
+                f"size must be a multiple of {self.size_multiple}; got {h}x{w}")
 
     @property
     def dtype(self):
         return np.float32 if self.precision == "float32" else np.float64
 
     @property
+    def size_multiple(self) -> int:
+        """Image H and W must divide by this: r2 and r4 halve them three
+        times, r3 keeps the resolution."""
+        return 1 if self.arch == "r3" else 8
+
+    @property
     def cell_kind(self) -> str:
         return CELL_KIND_BY_ARCH[self.arch]
 
     def to_dict(self) -> dict:
-        return {
-            "arch": self.arch,
-            "task": self.task,
-            "bn_mode": self.bn_mode,
-            "max_step": self.max_step,
-            "widths": list(self.widths),
-            "image_shape": list(self.image_shape),
-            "num_classes": self.num_classes,
-            "precision": self.precision,
-            "bn_eps": self.bn_eps,
-            "bn_momentum": self.bn_momentum,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "NetworkSpec":
-        return NetworkSpec(
-            arch=d["arch"], task=d["task"], bn_mode=d["bn_mode"],
-            max_step=int(d["max_step"]), widths=tuple(d["widths"]),
-            image_shape=tuple(d["image_shape"]),
-            num_classes=d.get("num_classes"),
-            precision=d.get("precision", "float32"),
-            bn_eps=float(d.get("bn_eps", 1e-5)),
-            bn_momentum=float(d.get("bn_momentum", 0.1)),
-        )
+        return NetworkSpec(**d)
 
 
 # ---------------------------------------------------------------------------
-# module wrappers
+# pipeline stages
 
-class RcCellModule:
+class RcCellModule(Module):
     recurrent = True
 
     def __init__(self, cell: RcCell):
@@ -130,45 +124,43 @@ class RcCellModule:
     def named_parameters(self, prefix):
         for q, w in enumerate(self.cell.body.convs):
             yield f"{prefix}.conv{q}.weight", w
-        for name, g in self.named_bn_groups(prefix):
-            yield f"{name}.gamma", g.gamma
-            yield f"{name}.beta", g.beta
+        yield from self._bn_parameters(prefix)
 
     def named_bn_groups(self, prefix):
         bank = self.cell.bank
-        for addr in range(bank.n_addresses):
+        for addr, (s, j) in enumerate(bank.address_labels()):
             aname = bank.address_name(addr)
-            for slot in range(bank.slots):
-                yield f"{prefix}.bank.{aname}.slot{slot}", bank.groups[addr][slot]
+            for slot, g in enumerate(bank.groups[addr]):
+                yield f"{prefix}.bank.{aname}.slot{slot}", (s, j, slot), g
+
+    def untie(self, step: int) -> list:
+        """``step`` value-copies of the cell's conv weights with the
+        step-j BN groups installed at depth j, plus the pool the unroll
+        runs after depth ceil(step/2)."""
+        cell = self.cell
+        pool_at = (step + 1) // 2 if cell.pool_after_half else 0
+        mods: list = []
+        for j in range(1, step + 1):
+            groups = [g.copy() for g in cell.bank.select(step, j)]
+            mods.append((f".depth{j}",
+                         UntiedCellStep(cell.body.copy_untied(), groups)))
+            if j == pool_at:
+                mods.append((f".pool{j}", PoolModule("avgpool2d")))
+        return mods
 
 
-class InvPoolModule:
-    recurrent = False
+class PoolModule(Module):
+    """Parameter-free resampling by the named ``functional`` op: the 2x2
+    ``avgpool2d`` or the channel-quadrupling ``invpool``."""
+
+    def __init__(self, op: str):
+        self.op = op
 
     def apply(self, x, step, training, update_stats):
-        return F.invpool(x)
-
-    def named_parameters(self, prefix):
-        return iter(())
-
-    def named_bn_groups(self, prefix):
-        return iter(())
+        return getattr(F, self.op)(x)
 
 
-class PoolModule:
-    recurrent = False
-
-    def apply(self, x, step, training, update_stats):
-        return F.avgpool2d(x)
-
-    def named_parameters(self, prefix):
-        return iter(())
-
-    def named_bn_groups(self, prefix):
-        return iter(())
-
-
-class TransitionModule:
+class TransitionModule(Module):
     """Non-recurrent pre-activation block between cell groups.
 
     Width changes and 2x downsampling happen here (average pool followed
@@ -179,16 +171,12 @@ class TransitionModule:
     cells were unrolled.
     """
 
-    recurrent = False
-
     def __init__(self, in_ch: int, out_ch: int, downsample: bool,
                  per_step_groups: int, rng, dtype, use_bn: bool = True,
                  eps: float = 1e-5, momentum: float = 0.1):
-        self.in_ch = in_ch
-        self.out_ch = out_ch
         self.downsample = downsample
-        self.use_bn = use_bn
         n = per_step_groups if use_bn else 0
+        self.per_step = n > 1
         self.bn1 = [BnGroup.create(in_ch, dtype, eps, momentum) for _ in range(n)]
         self.bn2 = [BnGroup.create(out_ch, dtype, eps, momentum) for _ in range(n)]
         self.conv1 = he_conv(rng, out_ch, in_ch, 3, dtype)
@@ -197,9 +185,9 @@ class TransitionModule:
                      if in_ch != out_ch else None)
 
     def _bn(self, x, groups, step, training, update_stats):
-        if not self.use_bn:
+        if not groups:
             return x
-        k = step - 1 if len(groups) > 1 else 0
+        k = step - 1 if self.per_step else 0
         return F.batchnorm2d(x, groups[k], training, update_stats)
 
     def apply(self, x, step, training, update_stats):
@@ -218,27 +206,27 @@ class TransitionModule:
         return F.add(shortcut, m)
 
     def named_parameters(self, prefix):
-        for name, g in self.named_bn_groups(prefix):
-            yield f"{name}.gamma", g.gamma
-            yield f"{name}.beta", g.beta
+        yield from self._bn_parameters(prefix)
         yield f"{prefix}.conv1.weight", self.conv1
         yield f"{prefix}.conv2.weight", self.conv2
         if self.proj is not None:
             yield f"{prefix}.proj.weight", self.proj
 
     def named_bn_groups(self, prefix):
-        for tag, groups in (("bn1", self.bn1), ("bn2", self.bn2)):
-            if len(groups) == 1:
-                yield f"{prefix}.{tag}", groups[0]
-            else:
-                for s, g in enumerate(groups, start=1):
-                    yield f"{prefix}.{tag}.s{s}", g
+        for slot, groups in enumerate((self.bn1, self.bn2)):
+            yield from step_groups(f"{prefix}.bn{slot + 1}", groups,
+                                   self.per_step, slot)
+
+    def untie(self, step: int) -> list:
+        m = copy.deepcopy(self)
+        if m.per_step:
+            m.bn1, m.bn2 = [m.bn1[step - 1]], [m.bn2[step - 1]]
+            m.per_step = False
+        return [("", m)]
 
 
-class UntiedCellStep:
+class UntiedCellStep(Module):
     """One unrolled depth of a cell with its own weight/group copies."""
-
-    recurrent = False
 
     def __init__(self, body: CellBody, groups):
         self.body = body
@@ -250,13 +238,11 @@ class UntiedCellStep:
     def named_parameters(self, prefix):
         for q, w in enumerate(self.body.convs):
             yield f"{prefix}.conv{q}.weight", w
-        for name, g in self.named_bn_groups(prefix):
-            yield f"{name}.gamma", g.gamma
-            yield f"{name}.beta", g.beta
+        yield from self._bn_parameters(prefix)
 
     def named_bn_groups(self, prefix):
-        for slot, g in enumerate(self.groups or []):
-            yield f"{prefix}.bn.slot{slot}", g
+        for slot, g in enumerate(self.groups):
+            yield f"{prefix}.bn.slot{slot}", (0, 0, slot), g
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +271,19 @@ class Network:
             update_stats = training
         if not 1 <= step <= self.max_step:
             raise ValueError(f"step {step} outside [1, {self.max_step}]")
+        return self._run(x, step, training, update_stats, collect_cell,
+                         collect)
+
+    def _run(self, x, step, training, update_stats, collect_cell=None,
+             collect=None) -> Tensor:
+        dtype = self.spec.dtype
         if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=self.spec.dtype))
-        elif x.dtype != self.spec.dtype:
-            x = Tensor(x.data.astype(self.spec.dtype))
+            x = Tensor(np.asarray(x, dtype=dtype))
+        elif x.dtype != dtype:
+            x = Tensor(x.data.astype(dtype))
         denoise = self.spec.task == "denoise"
         x0 = x
-        h = Tensor(x.data * self.spec.dtype(1.0 / DENOISE_SCALE)) if denoise else x
+        h = Tensor(x.data * dtype(1.0 / DENOISE_SCALE)) if denoise else x
         for name, mod in self.modules:
             if mod.recurrent:
                 cl = collect if collect_cell == name else None
@@ -315,7 +307,7 @@ class Network:
     def named_bn_groups(self) -> dict[str, BnGroup]:
         out: dict[str, BnGroup] = {}
         for name, mod in self.modules:
-            for gname, g in mod.named_bn_groups(name):
+            for gname, _, g in mod.named_bn_groups(name):
                 out[gname] = g
         return out
 
@@ -330,36 +322,13 @@ class Network:
         return {name: mod.cell for name, mod in self.modules if mod.recurrent}
 
 
-class ExpandedNetwork:
-    """Untied standard feedforward network produced by expansion."""
-
-    def __init__(self, task: str, dtype, modules: list):
-        self.task = task
-        self.dtype = dtype
-        self.modules = modules
+class ExpandedNetwork(Network):
+    """Untied standard feedforward network produced by expansion; it has
+    no recurrent modules, so its forward takes no step."""
 
     def forward(self, x, training: bool = False,
                 update_stats: bool = False) -> Tensor:
-        if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=self.dtype))
-        denoise = self.task == "denoise"
-        x0 = x
-        h = Tensor(x.data * self.dtype(1.0 / DENOISE_SCALE)) if denoise else x
-        for name, mod in self.modules:
-            h = mod.apply(h, 1, training, update_stats)
-        if denoise:
-            h = F.add(x0, F.scale(h, DENOISE_SCALE))
-        return h
-
-    def named_parameters(self) -> dict[str, Parameter]:
-        out: dict[str, Parameter] = {}
-        for name, mod in self.modules:
-            for pname, p in mod.named_parameters(name):
-                out[pname] = p
-        return out
-
-    def parameters(self) -> list[Parameter]:
-        return list(self.named_parameters().values())
+        return self._run(x, 1, training, update_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +364,9 @@ def _build_r2(spec: NetworkSpec, rng) -> Network:
     c = spec.image_shape[0]
     w1, w2 = spec.widths
     mods = [
-        ("stem", Stem(c, w1, rng, spec.dtype)),
+        ("stem", ConvLayer(c, w1, rng, spec.dtype)),
         ("cell1", _make_cell(spec, w1, rng, pool_after_half=True)),
-        ("invpool", InvPoolModule()),
+        ("invpool", PoolModule("invpool")),
         ("cell2", _make_cell(spec, w2, rng, pool_after_half=True)),
         ("head", ClassifierHead(w2, spec.num_classes, rng, spec.dtype,
                                 use_bn=spec.bn_mode != "none",
@@ -410,10 +379,10 @@ def _build_r2(spec: NetworkSpec, rng) -> Network:
 def _build_r3(spec: NetworkSpec, rng) -> Network:
     c = spec.image_shape[0]
     w = spec.widths[0]
-    mods: list = [("stem", Stem(c, w, rng, spec.dtype))]
+    mods: list = [("stem", ConvLayer(c, w, rng, spec.dtype))]
     for i in range(1, 4):
         mods.append((f"cell{i}", _make_cell(spec, w, rng, pool_after_half=False)))
-    mods.append(("head", DenoiseHead(w, c, rng, spec.dtype)))
+    mods.append(("head", ConvLayer(w, c, rng, spec.dtype)))
     return Network(spec, mods)
 
 
@@ -422,7 +391,7 @@ def _build_r4(spec: NetworkSpec, rng) -> Network:
     widths = spec.widths
     use_bn = spec.bn_mode != "none"
     banked = spec.max_step if _banked(spec) else 1
-    mods: list = [("stem", Stem(c, widths[0], rng, spec.dtype))]
+    mods: list = [("stem", ConvLayer(c, widths[0], rng, spec.dtype))]
     in_ch = widths[0]
     for i, w in enumerate(widths, start=1):
         # the first transition follows the stem: fixed input statistics
@@ -446,7 +415,8 @@ def _build_r4(spec: NetworkSpec, rng) -> Network:
 def expand_to_standard(network: Network, step: int) -> ExpandedNetwork:
     """Untie an RC network into the standard feedforward network that an
     ``step``-step unroll computes: ``step`` value-copies of each cell's
-    conv weights with the step-j BN groups installed at depth j.
+    conv weights with the step-j BN groups installed at depth j, and the
+    step's group selected in every per-step BN layer.
 
     Rejected for shared BN (one set of running statistics cannot serve
     every depth) and for BN-free networks (no per-step groups to
@@ -459,35 +429,9 @@ def expand_to_standard(network: Network, step: int) -> ExpandedNetwork:
             f"'{spec.bn_mode}' cannot be expanded")
     if not 1 <= step <= spec.max_step:
         raise ValueError(f"step {step} outside [1, {spec.max_step}]")
-
-    mods: list = []
-    for name, mod in network.modules:
-        if mod.recurrent:
-            cell = mod.cell
-            pool_at = (step + 1) // 2 if cell.pool_after_half else 0
-            for j in range(1, step + 1):
-                groups = [g.copy() for g in cell.bank.select(step, j)]
-                mods.append((f"{name}.depth{j}",
-                             UntiedCellStep(cell.body.copy_untied(), groups)))
-                if j == pool_at:
-                    mods.append((f"{name}.pool{j}", PoolModule()))
-        elif isinstance(mod, TransitionModule):
-            m2 = copy.deepcopy(mod)
-            if m2.use_bn:
-                k = step - 1 if len(mod.bn1) > 1 else 0
-                m2.bn1 = [m2.bn1[k]]
-                m2.bn2 = [m2.bn2[k]]
-            mods.append((name, m2))
-        elif isinstance(mod, ClassifierHead):
-            m2 = copy.deepcopy(mod)
-            if m2.use_bn:
-                k = step - 1 if m2.per_step else 0
-                m2.bn_groups = [m2.bn_groups[k]]
-                m2.per_step = False
-            mods.append((name, m2))
-        else:
-            mods.append((name, copy.deepcopy(mod)))
-    return ExpandedNetwork(spec.task, spec.dtype, mods)
+    return ExpandedNetwork(spec, [(name + suffix, m)
+                                  for name, mod in network.modules
+                                  for suffix, m in mod.untie(step)])
 
 
 # ---------------------------------------------------------------------------
@@ -499,34 +443,14 @@ def bn_table(network: Network) -> list[tuple]:
     groups. Step/index are 0 where not applicable (shared groups, the
     index of non-bank groups)."""
     rows: list[tuple] = []
-
-    def emit(module, step, index, slot, group):
-        for ch in range(group.channels):
-            rows.append((module, step, index, slot, ch,
-                         repr(float(group.gamma.data[ch])),
-                         repr(float(group.beta.data[ch])),
-                         repr(float(group.running_mean[ch])),
-                         repr(float(group.running_var[ch]))))
-
     for name, mod in network.modules:
-        if mod.recurrent:
-            bank = mod.cell.bank
-            for addr, (s, j) in enumerate(bank.address_labels()):
-                for slot in range(bank.slots):
-                    emit(name, s, j, slot, bank.groups[addr][slot])
-        elif isinstance(mod, TransitionModule):
-            for slot, groups in enumerate((mod.bn1, mod.bn2)):
-                if len(groups) == 1:
-                    emit(name, 0, 0, slot, groups[0])
-                else:
-                    for s, g in enumerate(groups, start=1):
-                        emit(name, s, 0, slot, g)
-        elif isinstance(mod, ClassifierHead) and mod.use_bn:
-            if mod.per_step:
-                for s, g in enumerate(mod.bn_groups, start=1):
-                    emit(name, s, 0, 0, g)
-            else:
-                emit(name, 0, 0, 0, mod.bn_groups[0])
+        for _, (step, index, slot), group in mod.named_bn_groups(name):
+            for ch in range(group.channels):
+                rows.append((name, step, index, slot, ch,
+                             repr(float(group.gamma.data[ch])),
+                             repr(float(group.beta.data[ch])),
+                             repr(float(group.running_mean[ch])),
+                             repr(float(group.running_var[ch]))))
     return rows
 
 
@@ -535,12 +459,15 @@ def bn_table(network: Network) -> list[tuple]:
 
 @dataclass
 class CostReport:
-    """Structural accounting derived purely from a NetworkSpec.
+    """Structural accounting of the network a NetworkSpec builds.
 
     ``bn_params`` counts learned scalars only (gamma/beta: 2C per group);
-    running statistics are buffers. ``flops_per_step`` counts conv/linear
-    multiply-accumulates per image; BN/ReLU/pool costs are excluded (they
-    are a very small proportion of the total).
+    running statistics are buffers. ``other_params`` is the linear
+    classifier; ``conv_params`` is everything else. ``flops_per_step``
+    counts conv/linear multiply-accumulates per image; BN/ReLU/pool costs
+    are excluded (they are a very small proportion of the total).
+    ``unrolled_depth`` counts 3x3-conv and linear layers at max_step;
+    1x1 projection shortcuts are not counted, as in ResNet-34.
     """
 
     conv_params: int
@@ -551,106 +478,38 @@ class CostReport:
     flops_per_step: dict[int, int]
 
 
-def _bank_addresses(mode: str, m: int) -> int:
-    return {"none": 0, "shared": 1, "independent": m,
-            "double_independent": m * (m + 1) // 2}[mode]
+def step_cost(network: Network, step: int) -> tuple[int, int, int]:
+    """(MACs per image, depth, linear-layer parameters) at unified step
+    ``step``, counted over the conv/linear applications that a batch-1
+    eval forward on zeros records."""
+    spec = network.spec
+    with Tape() as tape:
+        network.forward(np.zeros((1,) + spec.image_shape, spec.dtype), step,
+                        training=False, update_stats=False)
+    macs = depth = 0
+    linear: dict[int, int] = {}
+    for out, inputs, _ in tape.nodes:
+        params = [t for t in inputs if isinstance(t, Parameter)]
+        if not params or params[0].data.ndim < 2:
+            continue
+        weight = params[0]
+        macs += out.size * weight.data[0].size
+        if weight.data.ndim == 2:
+            linear.update((id(p), p.size) for p in params)
+        if weight.data.ndim == 2 or weight.shape[-1] > 1:
+            depth += 1
+    return macs, depth, sum(linear.values())
 
 
 def cost_report(spec: NetworkSpec) -> CostReport:
-    """Count parameters, unrolled depth, and per-step conv/linear MACs."""
-    c, h, w = spec.image_shape
-    m = spec.max_step
-    use_bn = spec.bn_mode != "none"
-    banked = m if _banked(spec) else 1
-    cell_addr = _bank_addresses(spec.bn_mode, m)
-    slots = 2 if spec.cell_kind == "preact_resblock" else 1
-
-    conv = 0
-    bn = 0
-    other = 0
-
-    if spec.arch == "r2":
-        w1, w2 = spec.widths
-        conv += w1 * c * 9 + w1                       # stem (biased)
-        conv += 2 * w1 * w1 * 9 + 2 * w2 * w2 * 9     # shared cell convs
-        bn += (cell_addr * slots) * 2 * (w1 + w2)
-        if use_bn:
-            bn += banked * 2 * w2                     # head BN
-        other += spec.num_classes * w2 + spec.num_classes
-        depth = 4 * m + 2
-    elif spec.arch == "r3":
-        width = spec.widths[0]
-        conv += width * c * 9 + width                 # stem
-        conv += 3 * width * width * 9                 # one shared conv per cell
-        conv += c * width * 9 + c                     # denoise head conv
-        bn += (cell_addr * slots) * 2 * (3 * width)
-        depth = 3 * m + 2
-    else:  # r4
-        widths = spec.widths
-        conv += widths[0] * c * 9 + widths[0]
-        in_ch = widths[0]
-        for i, width in enumerate(widths, start=1):
-            conv += width * in_ch * 9 + width * width * 9   # transition convs
-            if in_ch != width:
-                conv += width * in_ch                       # 1x1 projection
-            conv += 2 * width * width * 9                   # shared cell convs
-            if use_bn:
-                per_step = 1 if i == 1 else banked
-                bn += per_step * 2 * (in_ch + width)        # transition BN
-            bn += (cell_addr * slots) * 2 * width
-            in_ch = width
-        if use_bn:
-            bn += banked * 2 * widths[-1]                   # head BN
-        other += spec.num_classes * widths[-1] + spec.num_classes
-        depth = 8 * m + 10
-
-    flops = {s: _flops_at_step(spec, s) for s in range(1, m + 1)}
-    return CostReport(conv_params=conv, bn_params=bn, other_params=other,
-                      total_params=conv + bn + other, unrolled_depth=depth,
-                      flops_per_step=flops)
-
-
-def _flops_at_step(spec: NetworkSpec, s: int) -> int:
-    """Conv/linear multiply-accumulates for one image at unified step s."""
-    c, h, w = spec.image_shape
-    macs = 0
-
-    def conv_macs(out_ch, in_ch, k, hh, ww):
-        return out_ch * in_ch * k * k * hh * ww
-
-    if spec.arch == "r2":
-        w1, w2 = spec.widths
-        macs += conv_macs(w1, c, 3, h, w)
-        hh, ww = h, w
-        pool_at = (s + 1) // 2
-        for j in range(1, s + 1):
-            macs += 2 * conv_macs(w1, w1, 3, hh, ww)
-            if j == pool_at:
-                hh, ww = hh // 2, ww // 2
-        hh, ww = hh // 2, ww // 2                       # invpool
-        for j in range(1, s + 1):
-            macs += 2 * conv_macs(w2, w2, 3, hh, ww)
-            if j == pool_at:
-                hh, ww = hh // 2, ww // 2
-        macs += w2 * spec.num_classes
-    elif spec.arch == "r3":
-        width = spec.widths[0]
-        macs += conv_macs(width, c, 3, h, w)
-        macs += 3 * s * conv_macs(width, width, 3, h, w)
-        macs += conv_macs(c, width, 3, h, w)
-    else:
-        widths = spec.widths
-        macs += conv_macs(widths[0], c, 3, h, w)
-        hh, ww = h, w
-        in_ch = widths[0]
-        for i, width in enumerate(widths, start=1):
-            if i > 1:
-                hh, ww = hh // 2, ww // 2
-            macs += conv_macs(width, in_ch, 3, hh, ww)
-            macs += conv_macs(width, width, 3, hh, ww)
-            if in_ch != width:
-                macs += conv_macs(width, in_ch, 1, hh, ww)
-            macs += 2 * s * conv_macs(width, width, 3, hh, ww)
-            in_ch = width
-        macs += widths[-1] * spec.num_classes
-    return macs
+    """Count parameters, unrolled depth, and per-step conv/linear MACs of
+    the network ``spec`` builds."""
+    network = build_network(spec)
+    costs = {s: step_cost(network, s) for s in range(1, spec.max_step + 1)}
+    _, depth, other = costs[spec.max_step]
+    total = sum(p.size for p in network.parameters())
+    bn = sum(2 * g.channels for g in network.named_bn_groups().values())
+    return CostReport(conv_params=total - bn - other, bn_params=bn,
+                      other_params=other, total_params=total,
+                      unrolled_depth=depth,
+                      flops_per_step={s: c[0] for s, c in costs.items()})

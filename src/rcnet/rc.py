@@ -56,9 +56,7 @@ class BnBank:
 
     @property
     def n_addresses(self) -> int:
-        m = self.max_step
-        return {"none": 0, "shared": 1, "independent": m,
-                "double_independent": m * (m + 1) // 2}[self.mode]
+        return len(self.address_labels())
 
     @property
     def n_groups(self) -> int:

@@ -130,10 +130,6 @@ def _loss_for(network: Network, xb: np.ndarray, target, step: int,
 def _train(network: Network, train_set, test_set, cfg: TrainConfig,
            aggregated: bool, resume_state: dict | None = None) -> RunLog:
     dist = cfg.step_distribution
-    if dist.support[-1] > network.max_step:
-        raise ValueError(
-            f"step support {list(dist.support)} exceeds the network's "
-            f"max_step {network.max_step}")
     classify = network.spec.task == "classify"
     if classify != (cfg.loss == "cross_entropy"):
         raise ValueError(f"loss '{cfg.loss}' does not match task "
@@ -225,15 +221,44 @@ def _train(network: Network, train_set, test_set, cfg: TrainConfig,
     return log
 
 
+REGIMES = ("fixed", "cost_adjustable", "aggregated")
+
+
+def check_regime(regime: str, bn_mode: str, dist: StepDistribution,
+                 max_step: int) -> None:
+    """Raise ValueError unless ``regime`` can train a ``bn_mode`` network
+    unrolled up to ``max_step`` with steps drawn from ``dist``."""
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime '{regime}' (expected one of "
+                         f"{REGIMES})")
+    if regime == "fixed" and not dist.is_singleton:
+        raise ValueError(
+            f"regime 'fixed' needs a singleton step distribution, got "
+            f"support {list(dist.support)}")
+    if regime != "fixed" and bn_mode != "double_independent":
+        raise ValueError(f"regime '{regime}' requires bn_mode "
+                         f"'double_independent', got '{bn_mode}'")
+    if dist.support[-1] > max_step:
+        raise ValueError(f"step support {list(dist.support)} exceeds "
+                         f"max_step {max_step}")
+
+
+def run_training(network: Network, train_set, test_set, cfg: TrainConfig,
+                 regime: str, resume_state: dict | None = None) -> RunLog:
+    """Train under ``regime`` (see :data:`REGIMES`), resuming at epoch
+    granularity from ``resume_state`` when given."""
+    check_regime(regime, network.spec.bn_mode, cfg.step_distribution,
+                 network.max_step)
+    return _train(network, train_set, test_set, cfg,
+                  aggregated=regime == "aggregated",
+                  resume_state=resume_state)
+
+
 def train_fixed(network: Network, train_set, test_set,
                 cfg: TrainConfig) -> RunLog:
     """Fixed-step regime: the degenerate singleton-distribution case of
     the shared loop, so it collapses bit-identically."""
-    if not cfg.step_distribution.is_singleton:
-        raise ValueError(
-            f"fixed-step training needs a singleton step distribution, got "
-            f"support {list(cfg.step_distribution.support)}")
-    return _train(network, train_set, test_set, cfg, aggregated=False)
+    return run_training(network, train_set, test_set, cfg, "fixed")
 
 
 def train_cost_adjustable(network: Network, train_set, test_set,
@@ -241,12 +266,8 @@ def train_cost_adjustable(network: Network, train_set, test_set,
                           resume_state: dict | None = None) -> RunLog:
     """One sampled unified step per iteration; only the BN groups that
     step touches see forward passes or running-stat updates."""
-    if network.spec.bn_mode != "double_independent":
-        raise ValueError(
-            "cost-adjustable training requires bn_mode 'double_independent', "
-            f"got '{network.spec.bn_mode}'")
-    return _train(network, train_set, test_set, cfg, aggregated=False,
-                  resume_state=resume_state)
+    return run_training(network, train_set, test_set, cfg, "cost_adjustable",
+                        resume_state)
 
 
 def train_aggregated(network: Network, train_set, test_set,
@@ -254,30 +275,7 @@ def train_aggregated(network: Network, train_set, test_set,
     """Optional mode: every iteration forwards at every support step and
     optimizes the probability-weighted loss sum in a single update.
     Iteration cost grows with the support size."""
-    if network.spec.bn_mode != "double_independent":
-        raise ValueError(
-            "aggregated training requires bn_mode 'double_independent', "
-            f"got '{network.spec.bn_mode}'")
-    return _train(network, train_set, test_set, cfg, aggregated=True)
-
-
-def run_training(network: Network, train_set, test_set, cfg: TrainConfig,
-                 regime: str, resume_state: dict | None = None) -> RunLog:
-    """Regime dispatch used by the CLI; validates like the direct entry
-    points and supports resuming at epoch granularity."""
-    if regime == "fixed":
-        if not cfg.step_distribution.is_singleton:
-            raise ValueError(
-                "fixed-step training needs a singleton step distribution")
-    elif regime in ("cost_adjustable", "aggregated"):
-        if network.spec.bn_mode != "double_independent":
-            raise ValueError(
-                f"regime '{regime}' requires bn_mode 'double_independent'")
-    else:
-        raise ValueError(f"unknown regime '{regime}'")
-    return _train(network, train_set, test_set, cfg,
-                  aggregated=regime == "aggregated",
-                  resume_state=resume_state)
+    return run_training(network, train_set, test_set, cfg, "aggregated")
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,80 @@ class TestEvalInferCommands:
         assert code == 4
 
 
+class TestBadInputExitCodes:
+    def test_unrunnable_image_size_exit_code_2(self, tmp_path, capsys):
+        text = TOY_CLASSIFY.replace("image_size = 8", "image_size = 20")
+        cfg = write_cfg(tmp_path, text, out=tmp_path / "run")
+        assert run_cli(["cost", "--config", cfg,
+                        "--out-dir", tmp_path]) == 2
+        assert run_cli(["train", "--config", cfg]) == 2
+        assert "multiple of 8" in capsys.readouterr().err
+        assert not (tmp_path / "cost.csv").exists()
+
+    @pytest.mark.parametrize("command,step", [("expand-check", 5),
+                                              ("export-features", 7),
+                                              ("infer", 4), ("eval", 0)])
+    def test_step_outside_max_step_exit_code_2(self, trained, tmp_path,
+                                               command, step, capsys):
+        tmp, cfg = trained
+        from rcnet.data import write_rct
+        write_rct(tmp_path / "x.rct", np.zeros((3, 8, 8), np.float32))
+        extra = {"expand-check": [],
+                 "export-features": ["--input", tmp_path / "x.rct",
+                                     "--cell", "cell1",
+                                     "--out-dir", tmp_path],
+                 "infer": ["--input", tmp_path / "x.rct",
+                           "--output", tmp_path / "y.rct"],
+                 "eval": ["--config", cfg, "--out-dir", tmp_path]}[command]
+        code = run_cli([command, "--checkpoint", tmp / "run" / "last.ckpt",
+                        "--step", step] + extra)
+        assert code == 2
+        assert "outside [1, 3]" in capsys.readouterr().err
+
+    def test_step_outside_trained_support_exit_code_2(self, trained,
+                                                      capsys):
+        tmp, _ = trained
+        code = run_cli(["expand-check", "--checkpoint",
+                        tmp / "run" / "last.ckpt", "--step", "1"])
+        assert code == 2
+        assert "[2, 3]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["infer", "export-features"])
+    @pytest.mark.parametrize("shape", [(8, 8), (1, 8, 8), (3, 4, 4)])
+    def test_bad_input_tensor_exit_code_3(self, trained, tmp_path, command,
+                                          shape, capsys):
+        tmp, _ = trained
+        from rcnet.data import write_rct
+        write_rct(tmp_path / "x.rct", np.zeros(shape, np.float32))
+        extra = (["--output", tmp_path / "y.rct"] if command == "infer"
+                 else ["--cell", "cell1", "--out-dir", tmp_path])
+        code = run_cli([command, "--checkpoint", tmp / "run" / "last.ckpt",
+                        "--input", tmp_path / "x.rct", "--step", "3"]
+                       + extra)
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_spec_without_arch_exit_code_4(self, trained, tmp_path):
+        import json
+        import struct
+
+        from rcnet.checkpoint import _read_header
+        tmp, cfg = trained
+        raw = (tmp / "run" / "last.ckpt").read_bytes()
+        header, offset = _read_header(raw, "last.ckpt")
+        del header["spec"]["arch"]
+        hbytes = json.dumps(header, sort_keys=True,
+                            separators=(",", ":")).encode("utf-8")
+        bad = tmp_path / "noarch.ckpt"
+        bad.write_bytes(raw[:12] + struct.pack("<Q", len(hbytes)) + hbytes
+                        + raw[offset:])
+        assert run_cli(["train", "--config", cfg, "--out-dir",
+                        tmp_path / "resumed", "--resume", bad]) == 4
+        assert run_cli(["infer", "--checkpoint", bad, "--input",
+                        tmp_path / "x.rct", "--step", "3",
+                        "--output", tmp_path / "y.rct"]) == 4
+
+
 class TestDenoiseInfer:
     def test_pgm_in_pgm_out_same_dims(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TOY_DENOISE, out=tmp_path / "drun")

@@ -6,8 +6,8 @@ import pytest
 
 from rcnet import functional as F
 from rcnet.autodiff import Tensor
-from rcnet.layers import (BnGroup, CellBody, ClassifierHead, DenoiseHead,
-                          Stem, run_cell_body)
+from rcnet.layers import (BnGroup, CellBody, ClassifierHead, ConvLayer,
+                          run_cell_body)
 
 
 @pytest.fixture
@@ -90,7 +90,7 @@ class TestCellBody:
 
 class TestStemHead:
     def test_stem_output_channels(self, rng):
-        stem = Stem(3, 8, rng, np.float32)
+        stem = ConvLayer(3, 8, rng, np.float32)
         y = stem.apply(Tensor(np.zeros((2, 3, 8, 8), np.float32)), 1, False,
                        False)
         assert y.shape == (2, 8, 8, 8)
@@ -104,7 +104,7 @@ class TestStemHead:
         npt.assert_allclose(y.data, np.stack([want, want]), rtol=1e-12)
 
     def test_denoise_head_shape(self, rng):
-        head = DenoiseHead(8, 1, rng, np.float32)
+        head = ConvLayer(8, 1, rng, np.float32)
         y = head.apply(Tensor(np.zeros((2, 8, 16, 16), np.float32)), 1,
                        False, False)
         assert y.shape == (2, 1, 16, 16)
@@ -121,8 +121,8 @@ class TestStemHead:
         head = ClassifierHead(4, 3, rng, np.float64, use_bn=True,
                               per_step=False, max_step=3)
         assert len(head.bn_groups) == 1
-        names = dict(head.named_bn_groups("head"))
-        assert list(names) == ["head.bn"]
+        labels = [(n, a) for n, a, _ in head.named_bn_groups("head")]
+        assert labels == [("head.bn", (0, 0, 0))]
 
 
 class TestBnGroupCopy:

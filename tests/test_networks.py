@@ -35,6 +35,17 @@ class TestSpecValidation:
                         max_step=2, widths=(8, 8, 8), image_shape=(1, 16, 16),
                         num_classes=3)
 
+    def test_image_size_must_survive_three_halvings(self):
+        for arch, widths, task, classes in (
+                ("r2", (8, 32), "classify", 3),
+                ("r4", (4, 8, 16, 32), "classify", 3)):
+            with pytest.raises(ValueError, match="multiple of 8"):
+                NetworkSpec(arch=arch, task=task, bn_mode="independent",
+                            max_step=2, widths=widths,
+                            image_shape=(3, 20, 20), num_classes=classes)
+        NetworkSpec(arch="r3", task="denoise", bn_mode="independent",
+                    max_step=2, widths=(8, 8, 8), image_shape=(1, 20, 20))
+
     def test_spec_dict_roundtrip(self):
         spec = paper_r2_spec(3)
         assert NetworkSpec.from_dict(spec.to_dict()) == spec
@@ -122,6 +133,81 @@ class TestR4Accounting:
             exp = expand_to_standard(net, s)
             z = exp.forward(x, training=False)
             npt.assert_allclose(y.data, z.data, atol=1e-5, rtol=0)
+
+
+# cost_report values produced by the per-arch hand formulas the report
+# was first written with: (conv, bn, other, depth, flops@1..max_step)
+FROZEN_R3 = {
+    ("none", 1): (1881, 0, 0, 5, [479232]),
+    ("none", 2): (1881, 0, 0, 8, [479232, 921600]),
+    ("none", 3): (1881, 0, 0, 11, [479232, 921600, 1363968]),
+    ("none", 4): (1881, 0, 0, 14, [479232, 921600, 1363968, 1806336]),
+    ("shared", 1): (1881, 48, 0, 5, [479232]),
+    ("shared", 2): (1881, 48, 0, 8, [479232, 921600]),
+    ("shared", 3): (1881, 48, 0, 11, [479232, 921600, 1363968]),
+    ("shared", 4): (1881, 48, 0, 14, [479232, 921600, 1363968, 1806336]),
+    ("independent", 1): (1881, 48, 0, 5, [479232]),
+    ("independent", 2): (1881, 96, 0, 8, [479232, 921600]),
+    ("independent", 3): (1881, 144, 0, 11, [479232, 921600, 1363968]),
+    ("independent", 4): (1881, 192, 0, 14, [479232, 921600, 1363968, 1806336]),
+    ("double_independent", 1): (1881, 48, 0, 5, [479232]),
+    ("double_independent", 2): (1881, 144, 0, 8, [479232, 921600]),
+    ("double_independent", 3): (1881, 288, 0, 11, [479232, 921600, 1363968]),
+    ("double_independent", 4): (1881, 480, 0, 14,
+                                [479232, 921600, 1363968, 1806336]),
+}
+FROZEN_R4 = {
+    ("none", 1): (43696, 0, 165, 18, [568480]),
+    ("none", 2): (43696, 0, 165, 26, [568480, 863392]),
+    ("none", 3): (43696, 0, 165, 34, [568480, 863392, 1158304]),
+    ("none", 4): (43696, 0, 165, 42, [568480, 863392, 1158304, 1453216]),
+    ("shared", 1): (43696, 488, 165, 18, [568480]),
+    ("shared", 2): (43696, 488, 165, 26, [568480, 863392]),
+    ("shared", 3): (43696, 488, 165, 34, [568480, 863392, 1158304]),
+    ("shared", 4): (43696, 488, 165, 42, [568480, 863392, 1158304, 1453216]),
+    ("independent", 1): (43696, 488, 165, 18, [568480]),
+    ("independent", 2): (43696, 728, 165, 26, [568480, 863392]),
+    ("independent", 3): (43696, 968, 165, 34, [568480, 863392, 1158304]),
+    ("independent", 4): (43696, 1208, 165, 42,
+                         [568480, 863392, 1158304, 1453216]),
+    ("double_independent", 1): (43696, 488, 165, 18, [568480]),
+    ("double_independent", 2): (43696, 1200, 165, 26, [568480, 863392]),
+    ("double_independent", 3): (43696, 2152, 165, 34,
+                                [568480, 863392, 1158304]),
+    ("double_independent", 4): (43696, 3344, 165, 42,
+                                [568480, 863392, 1158304, 1453216]),
+}
+
+
+def _report_tuple(spec):
+    rep = cost_report(spec)
+    assert rep.total_params == (rep.conv_params + rep.bn_params
+                                + rep.other_params)
+    assert sorted(rep.flops_per_step) == list(range(1, spec.max_step + 1))
+    return (rep.conv_params, rep.bn_params, rep.other_params,
+            rep.unrolled_depth, [rep.flops_per_step[s]
+                                 for s in range(1, spec.max_step + 1)])
+
+
+class TestFrozenReports:
+    @pytest.mark.parametrize("mode,n", sorted(FROZEN_R3))
+    def test_r3(self, mode, n):
+        spec = NetworkSpec(arch="r3", task="denoise", bn_mode=mode,
+                           max_step=n, widths=(8, 8, 8),
+                           image_shape=(1, 16, 16))
+        assert _report_tuple(spec) == FROZEN_R3[(mode, n)]
+
+    @pytest.mark.parametrize("mode,n", sorted(FROZEN_R4))
+    def test_r4(self, mode, n):
+        spec = NetworkSpec(arch="r4", task="classify", bn_mode=mode,
+                           max_step=n, widths=(4, 8, 16, 32),
+                           image_shape=(3, 16, 16), num_classes=5)
+        assert _report_tuple(spec) == FROZEN_R4[(mode, n)]
+
+    def test_paper_scale_r4(self):
+        assert _report_tuple(r4_spec(4, classes=100)) == (
+            11159296, 53504, 51300, 42,
+            [555468800, 857458688, 1159448576, 1461438464])
 
 
 class TestExpansion:
