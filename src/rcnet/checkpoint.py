@@ -20,6 +20,7 @@ mode and are refused rather than silently truncated.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -79,14 +80,20 @@ def save_checkpoint(path, network: Network,
             f.write(arr.tobytes())
 
 
+def _unpack(fmt: str, data: bytes, offset: int, path, what: str) -> tuple:
+    if offset + struct.calcsize(fmt) > len(data):
+        raise CheckpointError(f"{path}: truncated {what} at byte {offset}")
+    return struct.unpack_from(fmt, data, offset)
+
+
 def _read_header(data: bytes, path) -> tuple[dict, int]:
     if data[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version, = struct.unpack_from("<I", data, 8)
+    version, = _unpack("<I", data, 8, path, "format version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format version {version} != supported {FORMAT_VERSION}")
-    hlen, = struct.unpack_from("<Q", data, 12)
+    hlen, = _unpack("<Q", data, 12, path, "header length")
     if 20 + hlen > len(data):
         raise CheckpointError(f"{path}: corrupt header (length {hlen})")
     try:
@@ -97,19 +104,23 @@ def _read_header(data: bytes, path) -> tuple[dict, int]:
 
 
 def _read_tensors(data: bytes, offset: int, path) -> dict[str, np.ndarray]:
-    count, = struct.unpack_from("<Q", data, offset)
+    count, = _unpack("<Q", data, offset, path, "tensor count")
     offset += 8
     table: dict[str, np.ndarray] = {}
     for _ in range(count):
-        nlen, = struct.unpack_from("<H", data, offset)
+        nlen, = _unpack("<H", data, offset, path, "tensor name length")
         offset += 2
-        name = data[offset:offset + nlen].decode("utf-8")
+        try:
+            name = data[offset:offset + nlen].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: corrupt tensor name ({e})") from e
         offset += nlen
-        ndim, = struct.unpack_from("<B", data, offset)
+        ndim, = _unpack("<B", data, offset, path, f"rank of tensor '{name}'")
         offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", data, offset)
+        shape = _unpack(f"<{ndim}I", data, offset, path,
+                        f"shape of tensor '{name}'")
         offset += 4 * ndim
-        n = int(np.prod(shape)) if ndim else 1
+        n = math.prod(shape)
         raw = data[offset:offset + 4 * n]
         if len(raw) != 4 * n:
             raise CheckpointError(

@@ -300,11 +300,14 @@ def cmd_cost(args) -> None:
 def cmd_expand_check(args) -> None:
     import numpy as np
 
-    from .errors import NumericalCheckError
+    from .errors import ConfigError, NumericalCheckError
     from .networks import expand_to_standard
 
     network = _load_network(args.checkpoint, args.step)
-    expanded = expand_to_standard(network, args.step)
+    try:
+        expanded = expand_to_standard(network, args.step)
+    except ValueError as e:  # a shared or BN-free network has no expansion
+        raise ConfigError(str(e)) from e
     c, h, w = network.spec.image_shape
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((args.inputs, c, h, w)).astype(network.spec.dtype)

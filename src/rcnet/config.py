@@ -152,7 +152,8 @@ class ExperimentConfig:
 
 
 def _read_sections(path) -> dict[str, dict[str, str]]:
-    cp = configparser.ConfigParser(interpolation=None, strict=True)
+    cp = configparser.ConfigParser(interpolation=None, strict=True,
+                                   inline_comment_prefixes=(";",))
     cp.optionxform = str  # keys are case-sensitive
     try:
         text = Path(path).read_text()

@@ -298,12 +298,16 @@ def read_rct(path) -> np.ndarray:
     data = Path(path).read_bytes()
     if data[:4] != RCT_MAGIC:
         raise DataError(f"{path}: not a raw tensor (RCT0) file")
+    if len(data) < 8:
+        raise DataError(f"{path}: truncated header ({len(data)} bytes)")
     ndim, = struct.unpack_from("<I", data, 4)
     if ndim > 8:
         raise DataError(f"{path}: implausible rank {ndim}")
-    shape = struct.unpack_from(f"<{ndim}I", data, 8)
     offset = 8 + 4 * ndim
-    count = int(np.prod(shape)) if ndim else 1
+    if len(data) < offset:
+        raise DataError(f"{path}: truncated shape of a rank-{ndim} tensor")
+    shape = struct.unpack_from(f"<{ndim}I", data, 8)
+    count = math.prod(shape)
     payload = data[offset:]
     if len(payload) != 4 * count:
         raise DataError(

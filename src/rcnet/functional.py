@@ -2,8 +2,16 @@
 invertible space-to-depth, linear maps and losses.
 
 All kernels are plain numpy in NCHW layout. Convolution uses cross-
-correlation semantics (no kernel flip), zero padding, and an im2col
-buffer backed by BLAS matmul; output extents must divide exactly.
+correlation semantics (no kernel flip), zero padding, and im2col columns
+multiplied by BLAS matmul; output extents must divide exactly.
+
+The convolution forward builds and multiplies its columns one chunk of
+images at a time, about ``_COL_CHUNK_BYTES`` of columns per chunk, so each
+chunk is still in L2 when the GEMM reads it. Written for the whole batch
+at once, the columns of a wide layer (tens of MB) go out to memory and
+back, and the forward is bound by memory bandwidth rather than by the
+GEMM. When the backward needs the columns for the weight gradient, the
+chunk is the whole batch and the columns are kept on the tape.
 """
 
 from __future__ import annotations
@@ -33,15 +41,19 @@ def _check_same_dtype(op: str, *tensors) -> None:
 # ---------------------------------------------------------------------------
 # convolution
 
+# Column bytes per forward chunk. 256 KiB fits in the L2 of current server
+# cores (256 KiB to 2 MiB) with room left for the GEMM's packed weight and
+# output panels; a chunk holds at least one image.
+_COL_CHUNK_BYTES = 256 * 1024
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
-            ho: int, wo: int) -> np.ndarray:
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
+            ho: int, wo: int, cols: np.ndarray) -> None:
+    """Write the [n,c,kh,kw,ho,wo] columns of ``xp`` into ``cols``."""
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride,
                                   j:j + stride * wo:stride]
-    return cols
 
 
 def _col2im(cols: np.ndarray, padded_shape, stride: int) -> np.ndarray:
@@ -91,10 +103,21 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None = None,
 
     xp = (np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
           if padding else x.data)
-    cols = _im2col(xp, kh, kw, stride, ho, wo)
-    cols2 = cols.reshape(n, c * kh * kw, ho * wo)
-    wmat = weight.data.reshape(o, c * kh * kw)
-    out = np.matmul(wmat, cols2).reshape(n, o, ho, wo)
+    k = c * kh * kw
+    wmat = weight.data.reshape(o, k)
+    # The weight gradient reads every image's columns, so a taped forward
+    # that needs it builds them for the whole batch and keeps them.
+    keep_cols = _needs(x, weight, bias) and weight.requires_grad
+    chunk = n if keep_cols else \
+        min(n, max(1, _COL_CHUNK_BYTES // (k * ho * wo * xp.itemsize)))
+    cols = np.empty((chunk, c, kh, kw, ho, wo), dtype=xp.dtype)
+    cols2 = cols.reshape(chunk, k, ho * wo)
+    out = np.empty((n, o, ho * wo), dtype=xp.dtype)
+    for b0 in range(0, n, chunk):
+        b1 = min(b0 + chunk, n)
+        _im2col(xp[b0:b1], kh, kw, stride, ho, wo, cols[:b1 - b0])
+        np.matmul(wmat, cols2[:b1 - b0], out=out[b0:b1])
+    out = out.reshape(n, o, ho, wo)
     if bias is not None:
         out += bias.data.reshape(1, o, 1, 1)
     y = _out(out, x, weight, bias)
@@ -162,12 +185,17 @@ def batchnorm2d(x: Tensor, group, training: bool,
             group.running_var += mom * var
         invstd = 1.0 / np.sqrt(var + x.dtype.type(group.eps))
         xhat = (x.data - mu.reshape(1, c, 1, 1)) * invstd.reshape(1, c, 1, 1)
+        out = gamma.data.reshape(1, c, 1, 1) * xhat \
+            + beta.data.reshape(1, c, 1, 1)
     else:
+        # With fixed statistics BN is a per-channel affine map: one pass.
+        # The mean is copied for the backward, because a train-mode forward
+        # updates the running statistics in place.
+        mu = group.running_mean.copy()
         invstd = 1.0 / np.sqrt(group.running_var + x.dtype.type(group.eps))
-        xhat = (x.data - group.running_mean.reshape(1, c, 1, 1)) \
-            * invstd.reshape(1, c, 1, 1)
-
-    out = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
+        sc = gamma.data * invstd
+        out = x.data * sc.reshape(1, c, 1, 1)
+        out += (beta.data - mu * sc).reshape(1, c, 1, 1)
     y = _out(out, x, gamma, beta)
 
     if _needs(x, gamma, beta):
@@ -189,6 +217,8 @@ def batchnorm2d(x: Tensor, group, training: bool,
                 return dx, dgamma, dbeta
         else:
             def bwd(g):
+                xhat = (x.data - mu.reshape(1, c, 1, 1)) \
+                    * invstd.reshape(1, c, 1, 1)
                 dgamma = (g * xhat).sum(axis=(0, 2, 3))
                 dbeta = g.sum(axis=(0, 2, 3))
                 dx = None

@@ -65,6 +65,30 @@ class TestConv2d:
         assert got.shape == (2, 3, 4, 4)
         npt.assert_allclose(got, want, atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,stride,padding,size", [
+        (3, 1, 1, 8), (3, 2, 1, 9), (1, 1, 0, 8)])
+    def test_chunked_forward_equals_taped_bit_for_bit(
+            self, rng, monkeypatch, dtype, k, stride, padding, size):
+        # n = 7 at three images per chunk: chunks of 3, 3 and 1. A taped
+        # forward that needs dW builds the whole batch's columns at once.
+        x = rng.standard_normal((7, 4, size, size)).astype(dtype)
+        w = Parameter(rng.standard_normal((3, 4, k, k)).astype(dtype))
+        b = Parameter(rng.standard_normal(3).astype(dtype))
+        ho = (size + 2 * padding - k) // stride + 1
+        per_image = 4 * k * k * ho * ho * np.dtype(dtype).itemsize
+        monkeypatch.setattr(F, "_COL_CHUNK_BYTES", 3 * per_image)
+        chunked = F.conv2d(Tensor(x), w, b, stride, padding).data
+        with Tape():
+            taped = F.conv2d(Tensor(x), w, b, stride, padding)
+        assert taped.requires_grad
+        assert chunked.dtype == dtype
+        npt.assert_array_equal(chunked, taped.data)
+        tol = 1e-4 if dtype == np.float32 else 1e-12
+        npt.assert_allclose(chunked, naive_conv2d(x, w.data, b.data, stride,
+                                                  padding),
+                            atol=tol, rtol=0)
+
     def test_channel_mismatch_names_both_shapes(self):
         x = Tensor(np.zeros((1, 3, 4, 4)))
         w = Parameter(np.zeros((2, 4, 3, 3)))
@@ -133,6 +157,30 @@ class TestBatchNorm:
         x = Tensor(np.array([3.0, 5.0]).reshape(2, 1, 1, 1))
         y = F.batchnorm2d(x, g, training=False)
         npt.assert_allclose(y.data.ravel(), [1.0, 2.0], atol=1e-12)
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-6),
+                                            (np.float64, 1e-13)])
+    def test_eval_matches_two_step_formula(self, rng, dtype, rtol):
+        g = BnGroup.create(5, dtype)
+        g.running_mean[...] = rng.normal(0, 2, 5)
+        g.running_var[...] = rng.uniform(0.1, 3, 5)
+        g.gamma.data[...] = rng.normal(1, 0.5, 5)
+        g.beta.data[...] = rng.normal(0, 1, 5)
+        x = (rng.standard_normal((3, 5, 4, 4)) * 2 + 1).astype(dtype)
+        y = F.batchnorm2d(Tensor(x), g, training=False).data
+        assert y.dtype == dtype
+        # two-step reference in float64: normalize, then scale and shift
+        c = (1, 5, 1, 1)
+        mean = g.running_mean.astype(np.float64).reshape(c)
+        std = np.sqrt(g.running_var.astype(np.float64) + g.eps).reshape(c)
+        gamma = g.gamma.data.astype(np.float64).reshape(c)
+        beta = g.beta.data.astype(np.float64).reshape(c)
+        xhat = (x - mean) / std
+        want = gamma * xhat + beta
+        # the one-pass form x*sc + sh rounds relative to its two terms, so
+        # the error is bounded by rtol times their magnitude
+        scale = np.abs(gamma / std * x) + np.abs(beta - mean * gamma / std)
+        assert np.all(np.abs(y - want) <= rtol * np.maximum(scale, np.abs(want)))
 
     def test_update_stats_flag(self):
         g = BnGroup.create(1, np.float64)

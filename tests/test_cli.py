@@ -127,6 +127,17 @@ class TestConfigParsing:
         assert cfg.train.step_distribution.support == (2, 3, 4)
         assert cfg.train.step_distribution.probs == (0.2, 0.3, 0.5)
 
+    def test_readme_example_config_parses_verbatim(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert "; " in text  # the example carries inline comments
+        p = tmp_path / "readme.ini"
+        p.write_text(text)
+        cfg = parse_config(p)
+        assert cfg.network.widths == (16, 64)
+        assert cfg.train.step_distribution.probs == (0.2, 0.3, 0.5)
+        assert cfg.data.kind == "synthetic_classify"
+
     def test_cost_adjustable_needs_di_mode(self, tmp_path):
         p = tmp_path / "ca.ini"
         p.write_text("[train]\nregime = cost_adjustable\nstep_support = 2,3\n")
@@ -314,6 +325,45 @@ class TestBadInputExitCodes:
         assert run_cli(["infer", "--checkpoint", bad, "--input",
                         tmp_path / "x.rct", "--step", "3",
                         "--output", tmp_path / "y.rct"]) == 4
+
+
+    @pytest.mark.parametrize("bn_mode", ["shared", "none"])
+    def test_expand_check_without_step_groups_exit_code_2(
+            self, tmp_path, bn_mode, capsys):
+        from conftest import build_seeded, small_r2_spec
+        from rcnet.checkpoint import save_checkpoint
+        ckpt = tmp_path / f"{bn_mode}.ckpt"
+        save_checkpoint(ckpt, build_seeded(small_r2_spec(bn_mode=bn_mode)))
+        assert run_cli(["expand-check", "--checkpoint", ckpt,
+                        "--step", "2"]) == 2
+        assert "cannot be expanded" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_exit_code_4(self, trained, tmp_path,
+                                              capsys):
+        from rcnet.checkpoint import _read_header
+        tmp, _ = trained
+        raw = (tmp / "run" / "last.ckpt").read_bytes()
+        _, table_start = _read_header(raw, "last.ckpt")
+        for cut in (14, table_start + 11):  # header length; tensor table
+            bad = tmp_path / "last.ckpt"
+            bad.write_bytes(raw[:cut])
+            assert run_cli(["expand-check", "--checkpoint", bad,
+                            "--step", "2"]) == 4
+            assert "truncated" in capsys.readouterr().err
+
+    def test_rct_with_cut_header_exit_code_3(self, trained, tmp_path,
+                                             capsys):
+        from rcnet.data import write_rct
+        tmp, _ = trained
+        write_rct(tmp_path / "x.rct", np.zeros((3, 8, 8), np.float32))
+        raw = (tmp_path / "x.rct").read_bytes()
+        for cut in (6, 13):  # rank; shape
+            (tmp_path / "cut.rct").write_bytes(raw[:cut])
+            assert run_cli(["infer", "--checkpoint",
+                            tmp / "run" / "last.ckpt", "--input",
+                            tmp_path / "cut.rct", "--step", "3",
+                            "--output", tmp_path / "y.rct"]) == 3
+            assert "truncated" in capsys.readouterr().err
 
 
 class TestDenoiseInfer:

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_seeded, small_r2_spec
+from conftest import build_seeded, small_r2_spec, small_r3_spec
 from rcnet.checkpoint import load_checkpoint, restore_into, save_checkpoint
 from rcnet.data import (add_gaussian_noise, load_cifar10,
                         make_synthetic_classification, make_synthetic_textures,
                         psnr, read_pgm, read_rct, write_pgm, write_rct)
-from rcnet.errors import CheckpointError, DataError
+from rcnet.errors import CheckpointError, DataError, RcnetError
 
 
 def linear_probe_error(ds, iters=300, lr=0.5):
@@ -307,3 +307,45 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError,
                            match=r"'stem.bias' has shape \(9,\)"):
             _install(net, table, p)
+
+
+class TestTruncatedFiles:
+    """Cut or damaged binary files raise typed errors, never struct.error."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("truncated")
+        ckpt, rct = tmp / "small.ckpt", tmp / "small.rct"
+        save_checkpoint(ckpt, build_seeded(small_r3_spec(max_step=1, width=2,
+                                                         image=8)))
+        write_rct(rct, np.arange(24, dtype=np.float32).reshape(2, 3, 4))
+        return tmp, ckpt.read_bytes(), rct.read_bytes()
+
+    def test_every_checkpoint_prefix_raises_checkpoint_error(self, files):
+        from rcnet.checkpoint import _read_header, _read_tensors
+        _, ckpt, _ = files
+        for cut in range(len(ckpt)):
+            with pytest.raises(CheckpointError):
+                _, offset = _read_header(ckpt[:cut], "x.ckpt")
+                _read_tensors(ckpt[:cut], offset, "x.ckpt")
+
+    def test_every_rct_prefix_raises_data_error(self, files):
+        tmp, _, rct = files
+        for cut in range(len(rct)):
+            (tmp / "cut.rct").write_bytes(rct[:cut])
+            with pytest.raises(DataError):
+                read_rct(tmp / "cut.rct")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), junk=st.binary(max_size=24))
+    def test_cut_and_extended_files_raise_only_typed_errors(self, files,
+                                                            data, junk):
+        tmp, ckpt, rct = files
+        for blob, reader, name in ((ckpt, load_checkpoint, "fuzz.ckpt"),
+                                   (rct, read_rct, "fuzz.rct")):
+            cut = data.draw(st.integers(0, len(blob)))
+            (tmp / name).write_bytes(blob[:cut] + junk)
+            try:
+                reader(tmp / name)
+            except RcnetError:
+                pass
