@@ -126,8 +126,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate d(loss)/d(parameter) into every reachable Parameter.
 
     ``loss`` must be a scalar. Parameters keep whatever was already in
-    ``.grad``; call the optimizer's ``zero_grad`` (or clear manually)
-    between iterations.
+    ``.grad``; the training loop clears them with
+    ``training._zero_grads`` between iterations.
     """
     if loss.shape != ():
         raise ValueError(f"loss must be a scalar, got shape {tuple(loss.shape)}")

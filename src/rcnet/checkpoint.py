@@ -14,19 +14,23 @@ Layout (all little-endian):
 Tensor names are sorted, and the header JSON is canonical
 (sorted keys, no whitespace), so save -> load -> save is byte-identical.
 The payload is float32: double-precision networks are a verification
-mode and are refused rather than silently truncated.
+mode and are refused rather than silently truncated. Non-finite values
+are refused on save and on load. A save writes ``<path>.tmp`` and
+renames it over ``path``, so an interrupted save leaves the previous
+file intact.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, NumericalCheckError
 from .networks import Network, NetworkSpec, build_network
 
 MAGIC = b"RCNETCKP"
@@ -42,6 +46,11 @@ def _tensor_table(network: Network) -> dict[str, np.ndarray]:
         table[f"{name}.momentum"] = p.momentum_buf
     table.update(network.named_buffers())
     return table
+
+
+def _first_non_finite(table: dict[str, np.ndarray]) -> str | None:
+    return next((name for name in sorted(table)
+                 if not np.isfinite(table[name]).all()), None)
 
 
 def save_checkpoint(path, network: Network,
@@ -64,20 +73,30 @@ def save_checkpoint(path, network: Network,
     hbytes = json.dumps(header, sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
     table = _tensor_table(network)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<Q", len(hbytes)))
-        f.write(hbytes)
-        f.write(struct.pack("<Q", len(table)))
-        for name in sorted(table):
-            arr = np.ascontiguousarray(table[name], dtype="<f4")
-            nbytes = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nbytes)))
-            f.write(nbytes)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
+    bad = _first_non_finite(table)
+    if bad is not None:
+        raise NumericalCheckError(
+            f"tensor '{bad}' has non-finite values; not writing {path}")
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", FORMAT_VERSION))
+            f.write(struct.pack("<Q", len(hbytes)))
+            f.write(hbytes)
+            f.write(struct.pack("<Q", len(table)))
+            for name in sorted(table):
+                arr = np.ascontiguousarray(table[name], dtype="<f4")
+                nbytes = name.encode("utf-8")
+                f.write(struct.pack("<H", len(nbytes)))
+                f.write(nbytes)
+                f.write(struct.pack("<B", arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _unpack(fmt: str, data: bytes, offset: int, path, what: str) -> tuple:
@@ -162,7 +181,11 @@ def _read_checkpoint(path) -> tuple[NetworkSpec, dict[str, np.ndarray], dict]:
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: invalid network spec in header ({e})") \
             from e
-    return spec, _read_tensors(data, offset, path), header
+    table = _read_tensors(data, offset, path)
+    bad = _first_non_finite(table)
+    if bad is not None:
+        raise CheckpointError(f"{path}: tensor '{bad}' has non-finite values")
+    return spec, table, header
 
 
 def _restore(network: Network, table: dict[str, np.ndarray], header: dict,

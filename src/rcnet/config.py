@@ -247,9 +247,7 @@ def _assemble(v: dict, path) -> ExperimentConfig:
             shared_lr_scale=tr["shared_lr_scale"],
             clip_max_norm=tr["clip_max_norm"], epochs=tr["epochs"],
             batch_size=tr["batch_size"], step_distribution=dist,
-            seed=tr["seed"],
-            loss="cross_entropy" if task == "classify" else "l2_residual",
-            eval_each_epoch=tr["eval_each_epoch"])
+            seed=tr["seed"], eval_each_epoch=tr["eval_each_epoch"])
     except ValueError as e:
         raise ConfigError(f"{path}: invalid [train] section: {e}") from e
 

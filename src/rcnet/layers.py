@@ -144,18 +144,30 @@ class Module:
     applicable. ``untie(step)`` returns the ``(name suffix, module)``
     stages of the standard feedforward network that this stage computes
     at unified step ``step``; nothing is aliased with the source.
+
+    A non-recurrent stage's BN layers are the ``BnBank`` attributes in
+    ``bank_names``; the k-th one's group is ``<prefix>.<attr>[.s<s>]``
+    at address ``(s, 0, k)``.
     """
 
     recurrent = False
+    bank_names: tuple[str, ...] = ()
 
     def named_parameters(self, prefix):
         return iter(())
 
     def named_bn_groups(self, prefix):
-        return iter(())
+        for k, name in enumerate(self.bank_names):
+            bank = getattr(self, name)
+            for (s, _), groups in zip(bank.address_labels(), bank.groups):
+                yield (f"{prefix}.{name}" + (f".s{s}" if s else ""),
+                       (s, 0, k), groups[0])
 
     def untie(self, step: int) -> list:
-        return [("", copy.deepcopy(self))]
+        # deep copy with every bank replaced by its one-address copy
+        memo = {id(getattr(self, n)): getattr(self, n).untie(step)
+                for n in self.bank_names}
+        return [("", copy.deepcopy(self, memo))]
 
     def _bn_parameters(self, prefix):
         for name, _, g in self.named_bn_groups(prefix):
@@ -163,16 +175,13 @@ class Module:
             yield f"{name}.beta", g.beta
 
 
-def step_groups(prefix: str, groups, per_step: bool, slot: int = 0):
-    """Name and address the BN groups of one non-recurrent BN layer: one
-    group per unified step (``prefix.s<s>`` at step s) when ``per_step``,
-    else a single group (``prefix``, step 0)."""
-    if per_step:
-        for s, g in enumerate(groups, start=1):
-            yield f"{prefix}.s{s}", (s, 0, slot), g
-    else:
-        for g in groups:
-            yield prefix, (0, 0, slot), g
+def bn(x, bank, step: int, training: bool, update_stats: bool):
+    """Normalize ``x`` with a non-recurrent layer's group for unified step
+    ``step``; the identity when the bank has no groups (mode 'none')."""
+    groups = bank.select(step)
+    if groups is None:
+        return x
+    return F.batchnorm2d(x, groups[0], training, update_stats)
 
 
 class ConvLayer(Module):
@@ -195,29 +204,21 @@ class ConvLayer(Module):
 class ClassifierHead(Module):
     """BN + ReLU + global average pool + linear classifier.
 
-    In cost-adjustable networks the BN group is banked per unified step
-    (the head input's statistics depend on how far the upstream cell was
-    unrolled); otherwise a single group is used. ``use_bn=False`` drops
-    the normalization for BN-free networks.
+    ``bn`` is the non-recurrent bank over the input channels: one group
+    per unified step in cost-adjustable networks (the input statistics
+    depend on how far the upstream cell was unrolled).
     """
 
-    def __init__(self, channels: int, num_classes: int,
-                 rng: np.random.Generator, dtype, use_bn: bool = True,
-                 per_step: bool = False, max_step: int = 1,
-                 eps: float = 1e-5, momentum: float = 0.1):
-        self.per_step = per_step and use_bn
-        n_groups = max_step if self.per_step else 1
-        self.bn_groups = ([BnGroup.create(channels, dtype, eps, momentum)
-                           for _ in range(n_groups)] if use_bn else [])
-        self.weight = he_linear(rng, num_classes, channels, dtype)
+    bank_names = ("bn",)
+
+    def __init__(self, bank, num_classes: int, rng: np.random.Generator,
+                 dtype):
+        self.bn = bank
+        self.weight = he_linear(rng, num_classes, bank.channels, dtype)
         self.bias = Parameter(np.zeros(num_classes, dtype=dtype))
 
     def apply(self, x, step, training, update_stats):
-        h = x
-        if self.bn_groups:
-            group = self.bn_groups[step - 1 if self.per_step else 0]
-            h = F.batchnorm2d(h, group, training, update_stats)
-        h = F.relu(h)
+        h = F.relu(bn(x, self.bn, step, training, update_stats))
         h = F.global_avgpool(h)
         return F.linear(h, self.weight, self.bias)
 
@@ -225,12 +226,3 @@ class ClassifierHead(Module):
         yield from self._bn_parameters(prefix)
         yield f"{prefix}.linear.weight", self.weight
         yield f"{prefix}.linear.bias", self.bias
-
-    def named_bn_groups(self, prefix):
-        return step_groups(f"{prefix}.bn", self.bn_groups, self.per_step)
-
-    def untie(self, step: int) -> list:
-        head = copy.deepcopy(self)
-        if head.per_step:
-            head.bn_groups, head.per_step = [head.bn_groups[step - 1]], False
-        return [("", head)]

@@ -18,7 +18,6 @@ report counts the parameters and a traced forward of the network.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from . import functional as F
 from .autodiff import Parameter, Tape, Tensor
 from .layers import (BnGroup, CellBody, ClassifierHead, ConvLayer, Module,
-                     he_conv, run_cell_body, step_groups)
+                     bn, he_conv)
 from .rc import BN_MODES, BnBank, RcCell, unroll
 
 ARCHS = ("r2", "r3", "r4")
@@ -134,17 +133,15 @@ class RcCellModule(Module):
                 yield f"{prefix}.bank.{aname}.slot{slot}", (s, j, slot), g
 
     def untie(self, step: int) -> list:
-        """``step`` value-copies of the cell's conv weights with the
-        step-j BN groups installed at depth j, plus the pool the unroll
-        runs after depth ceil(step/2)."""
+        """One one-step cell per depth j, holding value copies of the conv
+        weights and of the step-j BN groups, plus the pool the unroll
+        runs after depth ``pool_at(step)``."""
         cell = self.cell
-        pool_at = (step + 1) // 2 if cell.pool_after_half else 0
         mods: list = []
         for j in range(1, step + 1):
-            groups = [g.copy() for g in cell.bank.select(step, j)]
-            mods.append((f".depth{j}",
-                         UntiedCellStep(cell.body.copy_untied(), groups)))
-            if j == pool_at:
+            depth = RcCell(cell.body.copy_untied(), cell.bank.untie(step, j))
+            mods.append((f".depth{j}", RcCellModule(depth)))
+            if j == cell.pool_at(step):
                 mods.append((f".pool{j}", PoolModule("avgpool2d")))
         return mods
 
@@ -165,33 +162,23 @@ class TransitionModule(Module):
 
     Width changes and 2x downsampling happen here (average pool followed
     by stride-1 convs, which keeps every conv's output extent exact; the
-    shortcut pools and projects with a 1x1 conv). When the upstream cell
-    is cost-adjustable, every BN layer holds one group per unified step,
-    because the block's input statistics depend on how far upstream
-    cells were unrolled.
+    shortcut pools and projects with a 1x1 conv). ``bn1`` and ``bn2``
+    are the non-recurrent banks over the input and output channels.
     """
 
-    def __init__(self, in_ch: int, out_ch: int, downsample: bool,
-                 per_step_groups: int, rng, dtype, use_bn: bool = True,
-                 eps: float = 1e-5, momentum: float = 0.1):
+    bank_names = ("bn1", "bn2")
+
+    def __init__(self, bn1, bn2, downsample: bool, rng, dtype):
+        in_ch, out_ch = bn1.channels, bn2.channels
         self.downsample = downsample
-        n = per_step_groups if use_bn else 0
-        self.per_step = n > 1
-        self.bn1 = [BnGroup.create(in_ch, dtype, eps, momentum) for _ in range(n)]
-        self.bn2 = [BnGroup.create(out_ch, dtype, eps, momentum) for _ in range(n)]
+        self.bn1, self.bn2 = bn1, bn2
         self.conv1 = he_conv(rng, out_ch, in_ch, 3, dtype)
         self.conv2 = he_conv(rng, out_ch, out_ch, 3, dtype)
         self.proj = (he_conv(rng, out_ch, in_ch, 1, dtype)
                      if in_ch != out_ch else None)
 
-    def _bn(self, x, groups, step, training, update_stats):
-        if not groups:
-            return x
-        k = step - 1 if self.per_step else 0
-        return F.batchnorm2d(x, groups[k], training, update_stats)
-
     def apply(self, x, step, training, update_stats):
-        h = F.relu(self._bn(x, self.bn1, step, training, update_stats))
+        h = F.relu(bn(x, self.bn1, step, training, update_stats))
         if self.downsample:
             h = F.avgpool2d(h)
         if self.proj is not None:
@@ -201,7 +188,7 @@ class TransitionModule(Module):
         else:
             shortcut = x
         m = F.conv2d(h, self.conv1, stride=1, padding=1)
-        m = F.relu(self._bn(m, self.bn2, step, training, update_stats))
+        m = F.relu(bn(m, self.bn2, step, training, update_stats))
         m = F.conv2d(m, self.conv2, stride=1, padding=1)
         return F.add(shortcut, m)
 
@@ -211,38 +198,6 @@ class TransitionModule(Module):
         yield f"{prefix}.conv2.weight", self.conv2
         if self.proj is not None:
             yield f"{prefix}.proj.weight", self.proj
-
-    def named_bn_groups(self, prefix):
-        for slot, groups in enumerate((self.bn1, self.bn2)):
-            yield from step_groups(f"{prefix}.bn{slot + 1}", groups,
-                                   self.per_step, slot)
-
-    def untie(self, step: int) -> list:
-        m = copy.deepcopy(self)
-        if m.per_step:
-            m.bn1, m.bn2 = [m.bn1[step - 1]], [m.bn2[step - 1]]
-            m.per_step = False
-        return [("", m)]
-
-
-class UntiedCellStep(Module):
-    """One unrolled depth of a cell with its own weight/group copies."""
-
-    def __init__(self, body: CellBody, groups):
-        self.body = body
-        self.groups = groups
-
-    def apply(self, x, step, training, update_stats):
-        return run_cell_body(self.body, x, self.groups, training, update_stats)
-
-    def named_parameters(self, prefix):
-        for q, w in enumerate(self.body.convs):
-            yield f"{prefix}.conv{q}.weight", w
-        yield from self._bn_parameters(prefix)
-
-    def named_bn_groups(self, prefix):
-        for slot, g in enumerate(self.groups):
-            yield f"{prefix}.bn.slot{slot}", (0, 0, slot), g
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +289,6 @@ class ExpandedNetwork(Network):
 # ---------------------------------------------------------------------------
 # builders
 
-def _banked(spec: NetworkSpec) -> bool:
-    # downstream-of-a-cell non-recurrent blocks get per-step groups only
-    # when the unified step varies at inference time
-    return spec.bn_mode == "double_independent"
-
-
 def build_network(spec: NetworkSpec, seed: int = 0,
                   rng: np.random.Generator | None = None) -> Network:
     """Construct a network; weight init draws come from ``rng``/``seed``."""
@@ -352,11 +301,20 @@ def build_network(spec: NetworkSpec, seed: int = 0,
     return _build_r4(spec, rng)
 
 
+def _bank(spec: NetworkSpec, channels: int, slots: int = 1,
+          unrolled: bool = False, step_free: bool = False) -> BnBank:
+    """The BN bank of one layer under ``spec.bn_mode``; a ``step_free``
+    layer sees the same input statistics at every unified step and gets
+    a shared bank."""
+    mode = "shared" if step_free and spec.bn_mode != "none" else spec.bn_mode
+    return BnBank(mode, spec.max_step, slots, channels, spec.dtype,
+                  spec.bn_eps, spec.bn_momentum, unrolled)
+
+
 def _make_cell(spec: NetworkSpec, width: int, rng,
                pool_after_half: bool) -> RcCellModule:
     body = CellBody.create(spec.cell_kind, width, rng, spec.dtype)
-    bank = BnBank(spec.bn_mode, spec.max_step, body.bn_slots, width,
-                  spec.dtype, spec.bn_eps, spec.bn_momentum)
+    bank = _bank(spec, width, body.bn_slots, unrolled=True)
     return RcCellModule(RcCell(body, bank, pool_after_half))
 
 
@@ -368,10 +326,8 @@ def _build_r2(spec: NetworkSpec, rng) -> Network:
         ("cell1", _make_cell(spec, w1, rng, pool_after_half=True)),
         ("invpool", PoolModule("invpool")),
         ("cell2", _make_cell(spec, w2, rng, pool_after_half=True)),
-        ("head", ClassifierHead(w2, spec.num_classes, rng, spec.dtype,
-                                use_bn=spec.bn_mode != "none",
-                                per_step=_banked(spec), max_step=spec.max_step,
-                                eps=spec.bn_eps, momentum=spec.bn_momentum)),
+        ("head", ClassifierHead(_bank(spec, w2), spec.num_classes, rng,
+                                spec.dtype)),
     ]
     return Network(spec, mods)
 
@@ -389,23 +345,21 @@ def _build_r3(spec: NetworkSpec, rng) -> Network:
 def _build_r4(spec: NetworkSpec, rng) -> Network:
     c = spec.image_shape[0]
     widths = spec.widths
-    use_bn = spec.bn_mode != "none"
-    banked = spec.max_step if _banked(spec) else 1
     mods: list = [("stem", ConvLayer(c, widths[0], rng, spec.dtype))]
     in_ch = widths[0]
     for i, w in enumerate(widths, start=1):
-        # the first transition follows the stem: fixed input statistics
-        per_step = 1 if i == 1 else banked
+        # the first transition follows the stem: fixed input statistics.
+        # At max_step 1 the transitions are shared too, which keeps their
+        # checkpoint names (trans<i>.bn1, not trans<i>.bn1.s1).
+        fixed = i == 1 or spec.max_step == 1
         mods.append((f"trans{i}", TransitionModule(
-            in_ch, w, downsample=i > 1, per_step_groups=per_step,
-            rng=rng, dtype=spec.dtype, use_bn=use_bn,
-            eps=spec.bn_eps, momentum=spec.bn_momentum)))
+            _bank(spec, in_ch, step_free=fixed),
+            _bank(spec, w, step_free=fixed),
+            downsample=i > 1, rng=rng, dtype=spec.dtype)))
         mods.append((f"cell{i}", _make_cell(spec, w, rng, pool_after_half=False)))
         in_ch = w
-    mods.append(("head", ClassifierHead(
-        widths[-1], spec.num_classes, rng, spec.dtype, use_bn=use_bn,
-        per_step=_banked(spec), max_step=spec.max_step,
-        eps=spec.bn_eps, momentum=spec.bn_momentum)))
+    mods.append(("head", ClassifierHead(_bank(spec, widths[-1]),
+                                        spec.num_classes, rng, spec.dtype)))
     return Network(spec, mods)
 
 

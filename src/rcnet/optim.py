@@ -32,10 +32,6 @@ class SGD:
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad[...] = 0.0
-
     def step(self) -> None:
         for p in self.params:
             g = p.grad

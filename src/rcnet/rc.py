@@ -15,30 +15,39 @@ import numpy as np
 from . import functional as F
 from .layers import BnGroup, CellBody, run_cell_body
 
-BN_MODES = ("none", "shared", "independent", "double_independent")
+# Per mode, whether a BN layer's input statistics depend on the unified
+# step s and on the unroll index j; None = no normalization.
+ADDRESS_RULE = {"none": None, "shared": (0, 0), "independent": (0, 1),
+                "double_independent": (1, 1)}
+BN_MODES = tuple(ADDRESS_RULE)
 
 
 class BnBank:
-    """Addressable collection of BN groups for one cell.
+    """Addressable collection of BN groups for one BN layer.
 
-    Group selection for unified step ``s`` and unroll index ``j``
-    (1-based, ``j <= s <= max_step``):
+    An address keeps only the coordinates of ``(s, j)`` (unified step,
+    unroll index; 1-based, ``j <= s <= max_step``) that the layer's input
+    statistics depend on, and the rest are 0. A non-recurrent layer after
+    a cell (``unrolled=False``) has no unroll index:
 
-    ========================  =======================================
-    shared                    the single group
-    independent               group ``j``
-    double_independent        group ``(s, j)``; linear index
-                              ``s*(s-1)/2 + (j-1)`` over the lower
-                              triangle, so checkpoints are layout-stable
-    none                      no groups (normalization-free cells)
-    ========================  =======================================
+    ====================  ==========  ===================
+    mode                  cell bank   non-recurrent layer
+    ====================  ==========  ===================
+    shared                (0, 0)      (0, 0)
+    independent           (0, j)      (0, 0)
+    double_independent    (s, j)      (s, 0)
+    none                  no groups   no groups
+    ====================  ==========  ===================
 
-    Each address holds ``slots`` groups, one per BN layer of the cell
-    body traversal.
+    Addresses are numbered in (s, j) order, so a double-independent cell
+    bank puts ``(s, j)`` at ``s*(s-1)/2 + (j-1)`` and checkpoints are
+    layout-stable. Each address holds ``slots`` groups, one per BN layer
+    of the cell body traversal.
     """
 
     def __init__(self, mode: str, max_step: int, slots: int, channels: int,
-                 dtype=np.float32, eps: float = 1e-5, momentum: float = 0.1):
+                 dtype=np.float32, eps: float = 1e-5, momentum: float = 0.1,
+                 unrolled: bool = True):
         if mode not in BN_MODES:
             raise ValueError(f"unknown BN mode '{mode}'")
         if max_step < 1:
@@ -49,14 +58,21 @@ class BnBank:
         self.max_step = max_step
         self.slots = slots
         self.channels = channels
+        rule = ADDRESS_RULE[mode]
+        self._keep = (rule[0], rule[1] * unrolled) if rule else (0, 0)
+        self._labels = sorted({self._label(s, j) for s in range(1, max_step + 1)
+                               for j in range(1, s + 1)}) if rule else []
         self.groups = [
             [BnGroup.create(channels, dtype, eps, momentum) for _ in range(slots)]
-            for _ in range(self.n_addresses)
+            for _ in self._labels
         ]
+
+    def _label(self, step: int, index: int) -> tuple[int, int]:
+        return step * self._keep[0], index * self._keep[1]
 
     @property
     def n_addresses(self) -> int:
-        return len(self.address_labels())
+        return len(self._labels)
 
     @property
     def n_groups(self) -> int:
@@ -69,41 +85,33 @@ class BnBank:
                 f"max_step={self.max_step} (need 1 <= index <= step <= max_step)")
 
     def address(self, step: int, index: int) -> int:
-        """Linear address of (step, index) under this bank's mode."""
+        """Linear address of (step, index) under this bank's rule."""
         self._check(step, index)
-        if self.mode == "shared":
-            return 0
-        if self.mode == "independent":
-            return index - 1
-        if self.mode == "double_independent":
-            return step * (step - 1) // 2 + (index - 1)
-        raise ValueError("bank mode 'none' has no addresses")
+        return self._labels.index(self._label(step, index))
 
-    def select(self, step: int, index: int):
+    def select(self, step: int, index: int = 1):
         """Groups for one body traversal; None in 'none' mode. Pure lookup."""
-        if self.mode == "none":
+        if not self.groups:
             self._check(step, index)
             return None
         return self.groups[self.address(step, index)]
 
-    def address_labels(self):
+    def address_labels(self) -> list[tuple[int, int]]:
         """(step_label, index_label) per linear address; 0 = not applicable."""
-        if self.mode == "shared":
-            return [(0, 0)]
-        if self.mode == "independent":
-            return [(0, j) for j in range(1, self.max_step + 1)]
-        if self.mode == "double_independent":
-            return [(s, j) for s in range(1, self.max_step + 1)
-                    for j in range(1, s + 1)]
-        return []
+        return list(self._labels)
 
     def address_name(self, addr: int) -> str:
-        s, j = self.address_labels()[addr]
-        if self.mode == "shared":
-            return "shared"
-        if self.mode == "independent":
-            return f"j{j}"
-        return f"s{s}j{j}"
+        """``s<s>j<j>`` without the 0 coordinates; ``shared`` if both are 0."""
+        s, j = self._labels[addr]
+        return (f"s{s}" if s else "") + (f"j{j}" if j else "") or "shared"
+
+    def untie(self, step: int, index: int = 1) -> "BnBank":
+        """One-address bank holding copies of the groups at (step, index)."""
+        groups = self.select(step, index)
+        bank = BnBank("shared" if groups else "none", 1, self.slots,
+                      self.channels)
+        bank.groups = [[g.copy() for g in groups]] if groups else []
+        return bank
 
 
 @dataclass
@@ -117,6 +125,10 @@ class RcCell:
     body: CellBody
     bank: BnBank
     pool_after_half: bool = False
+
+    def pool_at(self, steps: int) -> int:
+        """Unroll depth after which an ``steps``-step unroll pools; 0 = never."""
+        return (steps + 1) // 2 if self.pool_after_half else 0
 
     def __post_init__(self):
         if self.bank.mode != "none" and self.bank.slots != self.body.bn_slots:
@@ -139,7 +151,7 @@ def unroll(cell: RcCell, x, steps: int, training: bool,
     if not 1 <= steps <= cell.bank.max_step:
         raise ValueError(
             f"unroll steps {steps} outside [1, {cell.bank.max_step}]")
-    pool_at = (steps + 1) // 2 if cell.pool_after_half else 0
+    pool_at = cell.pool_at(steps)
     h = x
     for j in range(1, steps + 1):
         groups = cell.bank.select(steps, j)

@@ -52,7 +52,6 @@ class TrainConfig:
     step_distribution: StepDistribution = field(
         default_factory=lambda: StepDistribution.fixed(1))
     seed: int = 0
-    loss: str = "cross_entropy"  # or "l2_residual"
     eval_each_epoch: bool = True
 
     def __post_init__(self):
@@ -66,8 +65,6 @@ class TrainConfig:
                 f"clip_max_norm must be positive, got {self.clip_max_norm}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.loss not in ("cross_entropy", "l2_residual"):
-            raise ValueError(f"unknown loss '{self.loss}'")
 
 
 @dataclass
@@ -115,6 +112,8 @@ class RunLog:
 
 
 def _zero_grads(params) -> None:
+    """Clear gradients before each backward; the loop owns this, not the
+    optimizer, because an ``lr = 0`` dry run builds no optimizer."""
     for p in params:
         p.grad[...] = 0.0
 
@@ -130,10 +129,7 @@ def _loss_for(network: Network, xb: np.ndarray, target, step: int,
 def _train(network: Network, train_set, test_set, cfg: TrainConfig,
            aggregated: bool, resume_state: dict | None = None) -> RunLog:
     dist = cfg.step_distribution
-    classify = network.spec.task == "classify"
-    if classify != (cfg.loss == "cross_entropy"):
-        raise ValueError(f"loss '{cfg.loss}' does not match task "
-                         f"'{network.spec.task}'")
+    classify = network.spec.task == "classify"  # else denoise: L2 loss
 
     rngs = RngStreams(cfg.seed)
     params = network.parameters()

@@ -1,6 +1,9 @@
 """Shared test helpers: finite-difference gradient checking and tiny
 network/dataset factories."""
 
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,17 @@ def param_checksums(net):
     for name, b in net.named_buffers().items():
         out[name] = b.tobytes()
     return out
+
+
+def poison_checkpoint(src, dst, name, value=float("nan")):
+    """Copy checkpoint ``src`` to ``dst`` with the first element of
+    tensor ``name`` replaced by ``value``."""
+    raw = bytearray(Path(src).read_bytes())
+    nbytes = name.encode("utf-8")
+    at = raw.index(struct.pack("<H", len(nbytes)) + nbytes) + 2 + len(nbytes)
+    at += 1 + 4 * raw[at]                     # rank byte, then the dims
+    raw[at:at + 4] = struct.pack("<f", value)
+    Path(dst).write_bytes(bytes(raw))
 
 
 @pytest.fixture

@@ -386,7 +386,6 @@ def test_criterion_7_denoise_desk_scale():
 
     net = build_seeded(spec, seed=0)
     cfg = TrainConfig(lr=0.02, momentum=0.9, epochs=40, batch_size=8, seed=0,
-                      loss="l2_residual",
                       step_distribution=StepDistribution.fixed(2),
                       eval_each_epoch=False)
     train_fixed(net, train, test, cfg)

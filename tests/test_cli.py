@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import poison_checkpoint
 from rcnet.cli import main
 from rcnet.config import parse_config
 from rcnet.data import make_synthetic_textures, read_pgm, read_rct, write_pgm
@@ -325,6 +326,25 @@ class TestBadInputExitCodes:
         assert run_cli(["infer", "--checkpoint", bad, "--input",
                         tmp_path / "x.rct", "--step", "3",
                         "--output", tmp_path / "y.rct"]) == 4
+
+    def test_non_finite_checkpoint_exit_code_4(self, trained, tmp_path,
+                                               capsys):
+        from rcnet.data import write_rct
+        tmp, cfg = trained
+        bad = tmp_path / "nan.ckpt"
+        poison_checkpoint(tmp / "run" / "last.ckpt", bad, "head.linear.weight")
+        write_rct(tmp_path / "x.rct", np.zeros((3, 8, 8), np.float32))
+        assert run_cli(["infer", "--checkpoint", bad, "--input",
+                        tmp_path / "x.rct", "--step", "3",
+                        "--output", tmp_path / "y.rct"]) == 4
+        assert run_cli(["export-bn", "--checkpoint", bad,
+                        "--out", tmp_path / "bn.csv"]) == 4
+        assert run_cli(["train", "--config", cfg, "--out-dir",
+                        tmp_path / "resumed", "--resume", bad]) == 4
+        err = capsys.readouterr().err
+        assert err.count("tensor 'head.linear.weight' has non-finite") == 3
+        assert not (tmp_path / "y.rct").exists()
+        assert not (tmp_path / "bn.csv").exists()
 
 
     @pytest.mark.parametrize("bn_mode", ["shared", "none"])

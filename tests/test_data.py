@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_seeded, small_r2_spec, small_r3_spec
+from conftest import (build_seeded, poison_checkpoint, small_r2_spec,
+                      small_r3_spec)
+from rcnet import checkpoint
 from rcnet.checkpoint import load_checkpoint, restore_into, save_checkpoint
 from rcnet.data import (add_gaussian_noise, load_cifar10,
                         make_synthetic_classification, make_synthetic_textures,
                         psnr, read_pgm, read_rct, write_pgm, write_rct)
-from rcnet.errors import CheckpointError, DataError, RcnetError
+from rcnet.errors import (CheckpointError, DataError, NumericalCheckError,
+                          RcnetError)
 
 
 def linear_probe_error(ds, iters=300, lr=0.5):
@@ -294,6 +297,61 @@ class TestCheckpoint:
         net = build_seeded(small_r2_spec(precision="float64"))
         with pytest.raises(CheckpointError, match="float32"):
             save_checkpoint(tmp_path / "d.ckpt", net)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_never_written(self, tmp_path, value):
+        net = build_seeded(small_r2_spec(max_step=1))
+        net.named_parameters()["head.linear.weight"].data[0, 0] = value
+        p = tmp_path / "x.ckpt"
+        with pytest.raises(NumericalCheckError,
+                           match="'head.linear.weight' has non-finite"):
+            save_checkpoint(p, net)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tensor_never_loaded(self, tmp_path, value):
+        net = build_seeded(small_r2_spec(max_step=1))
+        good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+        save_checkpoint(good, net)
+        poison_checkpoint(good, bad, "cell1.bank.j1.slot1.running_var", value)
+        for read in (load_checkpoint, lambda p: restore_into(net, p)):
+            with pytest.raises(CheckpointError,
+                               match="'cell1.bank.j1.slot1.running_var' has "
+                                     "non-finite"):
+                read(bad)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        net = build_seeded(small_r2_spec(max_step=1))
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(p, net)
+        before = p.read_bytes()
+        real_open = open
+
+        class DiskFull:
+            """File whose fourth write fails."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def write(self, b):
+                self.writes += 1
+                if self.writes == 4:
+                    raise OSError("disk full")
+                return self.f.write(b)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(checkpoint, "open", raising=False,
+                            value=lambda *a, **k: DiskFull(real_open(*a, **k)))
+        net.named_parameters()["stem.weight"].data[...] = 1.0
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(p, net)
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
 
     def test_shape_mismatch_diagnostic(self, tmp_path):
         from rcnet.checkpoint import _install, _read_header, _read_tensors

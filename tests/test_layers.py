@@ -8,6 +8,7 @@ from rcnet import functional as F
 from rcnet.autodiff import Tensor
 from rcnet.layers import (BnGroup, CellBody, ClassifierHead, ConvLayer,
                           run_cell_body)
+from rcnet.rc import BnBank
 
 
 @pytest.fixture
@@ -96,7 +97,8 @@ class TestStemHead:
         assert y.shape == (2, 8, 8, 8)
 
     def test_head_on_constant_map_is_linear_of_constant(self, rng):
-        head = ClassifierHead(4, 3, rng, np.float64, use_bn=False)
+        bank = BnBank("none", 1, 1, 4, np.float64, unrolled=False)
+        head = ClassifierHead(bank, 3, rng, np.float64)
         c = 0.7
         x = Tensor(np.full((2, 4, 5, 5), c))
         y = head.apply(x, 1, False, False)
@@ -110,17 +112,18 @@ class TestStemHead:
         assert y.shape == (2, 1, 16, 16)
 
     def test_banked_head_selects_by_step(self, rng):
-        head = ClassifierHead(4, 3, rng, np.float64, use_bn=True,
-                              per_step=True, max_step=3)
-        assert len(head.bn_groups) == 3
+        bank = BnBank("double_independent", 3, 1, 4, np.float64,
+                      unrolled=False)
+        head = ClassifierHead(bank, 3, rng, np.float64)
+        assert bank.n_groups == 3
         x = Tensor(rng.standard_normal((2, 4, 4, 4)))
         head.apply(x, 2, True, True)
-        assert [g.use_count for g in head.bn_groups] == [0, 1, 0]
+        assert [g.use_count for (g,) in bank.groups] == [0, 1, 0]
 
     def test_unbanked_head_single_group(self, rng):
-        head = ClassifierHead(4, 3, rng, np.float64, use_bn=True,
-                              per_step=False, max_step=3)
-        assert len(head.bn_groups) == 1
+        bank = BnBank("independent", 3, 1, 4, np.float64, unrolled=False)
+        head = ClassifierHead(bank, 3, rng, np.float64)
+        assert bank.n_groups == 1
         labels = [(n, a) for n, a, _ in head.named_bn_groups("head")]
         assert labels == [("head.bn", (0, 0, 0))]
 

@@ -1,13 +1,19 @@
 """Architecture builders, expansion oracle, and cost accounting."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import build_seeded, small_r2_spec, small_r3_spec
-from rcnet.autodiff import Tape, backward
+from rcnet.autodiff import Tape, Tensor, backward
 from rcnet import functional as F
-from rcnet.networks import NetworkSpec, cost_report, expand_to_standard
+from rcnet.networks import (NetworkSpec, build_network, cost_report,
+                            expand_to_standard)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def paper_r2_spec(n, bn_mode="independent"):
@@ -208,6 +214,95 @@ class TestFrozenReports:
         assert _report_tuple(r4_spec(4, classes=100)) == (
             11159296, 53504, 51300, 42,
             [555468800, 857458688, 1159448576, 1461438464])
+
+
+# ordered (name, step, index, slot) of every BN group, keyed by
+# "<arch>/<bn_mode>/<max_step>", as the networks were first laid out;
+# r4 double_independent at max_step 1 keeps trans<i>.bn1 next to head.bn.s1
+FROZEN_BN_LAYOUT = json.loads(GOLDEN.joinpath("bn_layout.json").read_text())
+
+
+def small_spec(arch, bn_mode, max_step, precision="float32"):
+    if arch == "r2":
+        return small_r2_spec(bn_mode, max_step, widths=(4, 16),
+                             precision=precision)
+    if arch == "r3":
+        return small_r3_spec(bn_mode, max_step, width=4, image=8,
+                             precision=precision)
+    return NetworkSpec(arch="r4", task="classify", bn_mode=bn_mode,
+                       max_step=max_step, widths=(4, 8, 16, 32),
+                       image_shape=(3, 8, 8), num_classes=3,
+                       precision=precision)
+
+
+class TestFrozenBnLayout:
+    @pytest.mark.parametrize("key", sorted(FROZEN_BN_LAYOUT))
+    def test_layout(self, key):
+        arch, mode, n = key.split("/")
+        net = build_network(small_spec(arch, mode, int(n)))
+        layout = [[name, *address] for mod_name, mod in net.modules
+                  for name, address, _ in mod.named_bn_groups(mod_name)]
+        assert layout == FROZEN_BN_LAYOUT[key]
+
+
+def _randomize_bn(net, rng):
+    """Distinct values in every BN group, so a wrong group selection
+    changes the output."""
+    for g in net.named_bn_groups().values():
+        c, dtype = g.channels, g.gamma.data.dtype
+        g.gamma.data[...] = 1.0 + 0.2 * rng.standard_normal(c)
+        g.beta.data[...] = 0.2 * rng.standard_normal(c)
+        g.running_mean[...] = 0.2 * rng.standard_normal(c)
+        g.running_var[...] = (1.0 + 0.5 * rng.random(c)).astype(dtype)
+
+
+def _task_loss(spec, out, x, labels):
+    if spec.task == "classify":
+        return F.softmax_cross_entropy(out, labels)
+    return F.mse_loss(out, Tensor(x))
+
+
+EXPANSION_CASES = [(arch, mode, s) for arch in ("r2", "r3", "r4")
+                   for mode in ("independent", "double_independent")
+                   for s in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("arch,mode,step", EXPANSION_CASES)
+def test_expansion_equivalence(arch, mode, step, rng):
+    """Forward within 1e-5 in float32 (eval mode, running statistics);
+    float64 training-mode loss within 1e-12 and each cell's shared conv
+    gradient equal to the sum over its untied depths within 1e-10; every
+    other weight keeps its name and its gradient."""
+    spec = small_spec(arch, mode, 3)
+    net = build_seeded(spec, seed=2)
+    _randomize_bn(net, rng)
+    x = rng.standard_normal((4,) + spec.image_shape).astype(np.float32)
+    y = net.forward(x, step, training=False)
+    z = expand_to_standard(net, step).forward(x, training=False)
+    npt.assert_allclose(y.data, z.data, atol=1e-5, rtol=0)
+
+    net = build_seeded(small_spec(arch, mode, 3, precision="float64"), seed=2)
+    _randomize_bn(net, rng)
+    exp = expand_to_standard(net, step)
+    x = x.astype(np.float64)
+    labels = rng.integers(0, 3, 4)
+    losses = []
+    for model, args in ((net, (step,)), (exp, ())):
+        with Tape() as tape:
+            out = model.forward(x, *args, training=True, update_stats=False)
+            loss = _task_loss(net.spec, out, x, labels)
+        backward(tape, loss)
+        losses.append(float(loss.data))
+    npt.assert_allclose(losses[0], losses[1], atol=1e-12, rtol=0)
+    eparams = exp.named_parameters()
+    for name, cell in net.cells().items():
+        for q, w in enumerate(cell.body.convs):
+            summed = sum(eparams[f"{name}.depth{j}.conv{q}.weight"].grad
+                         for j in range(1, step + 1))
+            npt.assert_allclose(w.grad, summed, atol=1e-10, rtol=0)
+    for name, p in net.named_parameters().items():
+        if name in eparams:
+            npt.assert_allclose(p.grad, eparams[name].grad, atol=1e-10, rtol=0)
 
 
 class TestExpansion:

@@ -67,6 +67,47 @@ class TestBankArithmetic:
         with pytest.raises(ValueError, match="invalid bank address"):
             bank.select(s, j)
 
+    @pytest.mark.parametrize("mode,unrolled,want", [
+        ("shared", True, [(0, 0)]),
+        ("shared", False, [(0, 0)]),
+        ("independent", True, [(0, 1), (0, 2), (0, 3)]),
+        ("independent", False, [(0, 0)]),
+        ("double_independent", True,
+         [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]),
+        ("double_independent", False, [(1, 0), (2, 0), (3, 0)]),
+        ("none", True, []),
+        ("none", False, []),
+    ])
+    def test_address_rule(self, mode, unrolled, want):
+        # an address keeps the coordinates the input statistics depend on
+        bank = BnBank(mode, 3, 1, 4, unrolled=unrolled)
+        assert bank.address_labels() == want
+        for s in range(1, 4):
+            for j in range(1, s + 1):
+                if want:
+                    label = want[bank.address(s, j)]
+                    assert all(v in (0, w) for v, w in zip(label, (s, j)))
+                else:
+                    assert bank.select(s, j) is None
+
+    def test_address_names(self):
+        def names(mode):
+            bank = BnBank(mode, 2, 1, 4)
+            return [bank.address_name(a) for a in range(bank.n_addresses)]
+        assert names("shared") == ["shared"]
+        assert names("independent") == ["j1", "j2"]
+        assert names("double_independent") == ["s1j1", "s2j1", "s2j2"]
+
+    def test_untie_copies_one_address(self):
+        bank = BnBank("double_independent", 3, 2, 4, np.float64)
+        one = bank.untie(3, 2)
+        assert one.n_addresses == 1 and one.max_step == 1
+        for src, dst in zip(bank.select(3, 2), one.select(1, 1)):
+            assert dst is not src and dst.gamma is not src.gamma
+            npt.assert_array_equal(dst.running_var, src.running_var)
+            assert dst.gamma.dtype == np.float64
+        assert BnBank("none", 3, 1, 4).untie(2, 1).select(1, 1) is None
+
     def test_slot_mismatch_with_body_rejected(self, rng):
         body = CellBody.create("preact_resblock", 4, rng, np.float64)
         bank = BnBank("independent", 3, 1, 4)

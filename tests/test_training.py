@@ -85,11 +85,6 @@ class TestPolicies:
         with pytest.raises(ValueError, match="double_independent"):
             train_cost_adjustable(net, *toy_data, cfg)
 
-    def test_loss_task_mismatch_rejected(self, toy_data):
-        net = build_seeded(small_r2_spec(max_step=2))
-        with pytest.raises(ValueError, match="does not match task"):
-            train_fixed(net, *toy_data, toy_cfg(loss="l2_residual"))
-
 
 class TestRegimes:
     def test_singleton_collapse_is_bit_identical(self, toy_data):
@@ -282,7 +277,7 @@ class TestInferenceAndMetrics:
         clean = make_synthetic_textures(6, 48, 3)
         train = DenoiseSet(clean=clean, sigma=25.0, patch_size=40)
         net = build_seeded(small_r3_spec(image=40))
-        cfg = toy_cfg(epochs=2, batch_size=3, lr=0.01, loss="l2_residual")
+        cfg = toy_cfg(epochs=2, batch_size=3, lr=0.01)
         log1 = train_fixed(net, train, None, cfg)
         net2 = build_seeded(small_r3_spec(image=40))
         log2 = train_fixed(net2, train, None, cfg)
