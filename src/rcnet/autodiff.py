@@ -49,9 +49,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype})"
 

@@ -10,8 +10,11 @@ images at a time, about ``_COL_CHUNK_BYTES`` of columns per chunk, so each
 chunk is still in L2 when the GEMM reads it. Written for the whole batch
 at once, the columns of a wide layer (tens of MB) go out to memory and
 back, and the forward is bound by memory bandwidth rather than by the
-GEMM. When the backward needs the columns for the weight gradient, the
-chunk is the whole batch and the columns are kept on the tape.
+GEMM. A taped forward runs the same chunks and keeps only its padded
+input; the backward rebuilds the whole batch's columns once, uses them
+for the weight gradient and then overwrites them with the input
+gradient's columns (recomputation in place of storage, as in Chen et al.,
+arXiv:1604.06174).
 """
 
 from __future__ import annotations
@@ -19,10 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Parameter, Tensor, record, recording
-
-
-def _needs(*tensors) -> bool:
-    return recording() and any(t.requires_grad for t in tensors if t is not None)
 
 
 def _out(data, *inputs) -> Tensor:
@@ -105,11 +104,7 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None = None,
           if padding else x.data)
     k = c * kh * kw
     wmat = weight.data.reshape(o, k)
-    # The weight gradient reads every image's columns, so a taped forward
-    # that needs it builds them for the whole batch and keeps them.
-    keep_cols = _needs(x, weight, bias) and weight.requires_grad
-    chunk = n if keep_cols else \
-        min(n, max(1, _COL_CHUNK_BYTES // (k * ho * wo * xp.itemsize)))
+    chunk = min(n, max(1, _COL_CHUNK_BYTES // (k * ho * wo * xp.itemsize)))
     cols = np.empty((chunk, c, kh, kw, ho, wo), dtype=xp.dtype)
     cols2 = cols.reshape(chunk, k, ho * wo)
     out = np.empty((n, o, ho * wo), dtype=xp.dtype)
@@ -122,21 +117,29 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None = None,
         out += bias.data.reshape(1, o, 1, 1)
     y = _out(out, x, weight, bias)
 
-    if _needs(x, weight, bias):
+    if y.requires_grad:
         need_x, need_w = x.requires_grad, weight.requires_grad
         need_b = bias is not None and bias.requires_grad
-        wshape, xshape = weight.shape, (n, c, h, w)
 
         def bwd(g):
             gm = g.reshape(n, o, ho * wo)
             gw = gb = gx = None
+            buf = np.empty(n * ho * wo * k, dtype=xp.dtype)
             if need_w:
-                gw = np.tensordot(gm, cols2, axes=([0, 2], [0, 2])).reshape(wshape)
+                # Columns as [n*ho*wo, k] rows: this dot gets exactly the
+                # operands np.tensordot(gm, cols, ([0, 2], [0, 2])) would
+                # copy them to, so dW has the same bits as that form.
+                rows = buf.reshape(n, ho, wo, c, kh, kw)
+                _im2col(xp, kh, kw, stride, ho, wo,
+                        rows.transpose(0, 3, 4, 5, 1, 2))
+                gw = np.dot(gm.transpose(1, 0, 2).reshape(o, n * ho * wo),
+                            buf.reshape(n * ho * wo, k)).reshape(weight.shape)
             if need_b:
                 gb = g.sum(axis=(0, 2, 3))
             if need_x:
-                dcols = np.matmul(wmat.T, gm).reshape(n, c, kh, kw, ho, wo)
-                gxp = _col2im(dcols, xp.shape, stride)
+                np.matmul(wmat.T, gm, out=buf.reshape(n, k, ho * wo))
+                gxp = _col2im(buf.reshape(n, c, kh, kw, ho, wo), xp.shape,
+                              stride)
                 gx = gxp[:, :, padding:padding + h, padding:padding + w]
                 if padding:
                     gx = np.ascontiguousarray(gx)
@@ -198,7 +201,7 @@ def batchnorm2d(x: Tensor, group, training: bool,
         out += (beta.data - mu * sc).reshape(1, c, 1, 1)
     y = _out(out, x, gamma, beta)
 
-    if _needs(x, gamma, beta):
+    if y.requires_grad:
         need_x = x.requires_grad
 
         if training:
@@ -235,7 +238,7 @@ def batchnorm2d(x: Tensor, group, training: bool,
 
 def relu(x: Tensor) -> Tensor:
     y = _out(np.maximum(x.data, 0), x)
-    if _needs(x):
+    if y.requires_grad:
         mask = x.data > 0
 
         def bwd(g):
@@ -251,7 +254,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"add shape mismatch: {tuple(a.shape)} vs {tuple(b.shape)}")
     _check_same_dtype("add", a, b)
     y = _out(a.data + b.data, a, b)
-    if _needs(a, b):
+    if y.requires_grad:
         na, nb = a.requires_grad, b.requires_grad
 
         def bwd(g):
@@ -265,7 +268,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar."""
     c = x.dtype.type(c)
     y = _out(x.data * c, x)
-    if _needs(x):
+    if y.requires_grad:
         def bwd(g):
             return (g * c,)
 
@@ -273,10 +276,8 @@ def scale(x: Tensor, c: float) -> Tensor:
     return y
 
 
-def avgpool2d(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:
+def avgpool2d(x: Tensor) -> Tensor:
     """2x2 stride-2 average pooling; spatial extents must be even."""
-    if window != 2 or stride != 2:
-        raise ValueError("avgpool2d supports window=2, stride=2 only")
     if x.data.ndim != 4:
         raise ValueError(f"avgpool2d expects [N,C,H,W], got {tuple(x.shape)}")
     n, c, h, w = x.shape
@@ -284,7 +285,7 @@ def avgpool2d(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:
         raise ValueError(f"avgpool2d: odd spatial extents {h}x{w}")
     out = x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
     y = _out(out, x)
-    if _needs(x):
+    if y.requires_grad:
         def bwd(g):
             gq = g * x.dtype.type(0.25)
             dx = np.empty((n, c, h, w), dtype=g.dtype)
@@ -302,7 +303,7 @@ def global_avgpool(x: Tensor) -> Tensor:
         raise ValueError(f"global_avgpool expects [N,C,H,W], got {tuple(x.shape)}")
     n, c, h, w = x.shape
     y = _out(x.data.mean(axis=(2, 3)), x)
-    if _needs(x):
+    if y.requires_grad:
         inv = x.dtype.type(1.0 / (h * w))
 
         def bwd(g):
@@ -326,7 +327,7 @@ def linear(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
             f"linear shape mismatch: input {tuple(x.shape)}, weight "
             f"{tuple(weight.shape)}, bias {tuple(bias.shape)}")
     y = _out(x.data @ weight.data.T + bias.data, x, weight, bias)
-    if _needs(x, weight, bias):
+    if y.requires_grad:
         need_x = x.requires_grad
 
         def bwd(g):
@@ -363,7 +364,7 @@ def invpool(x: Tensor) -> Tensor:
     if h % 2 or w % 2:
         raise ValueError(f"invpool: odd spatial extents {h}x{w}")
     y = _out(_space_to_depth(x.data), x)
-    if _needs(x):
+    if y.requires_grad:
         def bwd(g):
             return (_depth_to_space(g),)
 
@@ -379,7 +380,7 @@ def invpool_inverse(x: Tensor) -> Tensor:
         raise ValueError(
             f"invpool_inverse: channel count {x.shape[1]} not divisible by 4")
     y = _out(_depth_to_space(x.data), x)
-    if _needs(x):
+    if y.requires_grad:
         def bwd(g):
             return (_space_to_depth(g),)
 
@@ -410,7 +411,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     se = ez.sum(axis=1, keepdims=True)
     nll = np.log(se[:, 0]) - z[np.arange(n), lab]
     y = _out(np.asarray(nll.mean(), dtype=logits.dtype), logits)
-    if _needs(logits):
+    if y.requires_grad:
         def bwd(g):
             p = ez / se
             p[np.arange(n), lab] -= 1.0
@@ -429,7 +430,7 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     _check_same_dtype("mse_loss", pred, target)
     diff = pred.data - target.data
     y = _out(np.asarray((diff * diff).mean(), dtype=pred.dtype), pred, target)
-    if _needs(pred, target):
+    if y.requires_grad:
         np_, nt = pred.requires_grad, target.requires_grad
 
         def bwd(g):

@@ -199,9 +199,5 @@ class StepDistribution:
         return len(self.support) == 1
 
     def sample(self, rng: np.random.Generator) -> int:
+        """Draw one unified step; applied to every recurrent cell this iteration."""
         return int(rng.choice(self.support, p=self.probs))
-
-
-def sample_step(dist: StepDistribution, rng: np.random.Generator) -> int:
-    """Draw one unified step; applied to every recurrent cell this iteration."""
-    return dist.sample(rng)

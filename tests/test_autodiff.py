@@ -1,6 +1,7 @@
 """Tensor/op value semantics, oracle cross-checks, and optimizer rules."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -70,8 +71,8 @@ class TestConv2d:
         (3, 1, 1, 8), (3, 2, 1, 9), (1, 1, 0, 8)])
     def test_chunked_forward_equals_taped_bit_for_bit(
             self, rng, monkeypatch, dtype, k, stride, padding, size):
-        # n = 7 at three images per chunk: chunks of 3, 3 and 1. A taped
-        # forward that needs dW builds the whole batch's columns at once.
+        # n = 7 at three images per chunk: chunks of 3, 3 and 1, taped or
+        # not.
         x = rng.standard_normal((7, 4, size, size)).astype(dtype)
         w = Parameter(rng.standard_normal((3, 4, k, k)).astype(dtype))
         b = Parameter(rng.standard_normal(3).astype(dtype))
@@ -88,6 +89,63 @@ class TestConv2d:
         npt.assert_allclose(chunked, naive_conv2d(x, w.data, b.data, stride,
                                                   padding),
                             atol=tol, rtol=0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,stride,padding,size", [
+        (3, 1, 1, 8), (3, 2, 1, 9), (1, 1, 0, 8)])
+    def test_backward_equals_whole_batch_reference_bit_for_bit(
+            self, rng, monkeypatch, dtype, k, stride, padding, size):
+        # Reference: the whole batch's [n,c,kh,kw,ho,wo] columns, dW from
+        # np.tensordot, dX from matmul and an explicit col2im loop.
+        n, c, o = 7, 4, 3
+        x = rng.standard_normal((n, c, size, size)).astype(dtype)
+        w = rng.standard_normal((o, c, k, k)).astype(dtype)
+        ho = (size + 2 * padding - k) // stride + 1
+        g = rng.standard_normal((n, o, ho, ho)).astype(dtype)
+        per_image = c * k * k * ho * ho * np.dtype(dtype).itemsize
+        monkeypatch.setattr(F, "_COL_CHUNK_BYTES", 3 * per_image)
+        xt = Tensor(x)
+        xt.requires_grad = True
+        with Tape() as tape:
+            F.conv2d(xt, Parameter(w), stride=stride, padding=padding)
+        [(_, _, bwd)] = tape.nodes
+        gx, gw = bwd(g)
+
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        span = slice(0, stride * ho, stride)
+        cols = np.empty((n, c, k, k, ho, ho), dtype=dtype)
+        for i in range(k):
+            for j in range(k):
+                cols[:, :, i, j] = xp[:, :, i:, j:][:, :, span, span]
+        gm = g.reshape(n, o, ho * ho)
+        want_w = np.tensordot(gm, cols.reshape(n, c * k * k, ho * ho),
+                              axes=([0, 2], [0, 2])).reshape(w.shape)
+        dcols = np.matmul(w.reshape(o, -1).T, gm).reshape(cols.shape)
+        dxp = np.zeros(xp.shape, dtype=dtype)
+        for i in range(k):
+            for j in range(k):
+                dxp[:, :, i:, j:][:, :, span, span] += dcols[:, :, i, j]
+        want_x = dxp[:, :, padding:padding + size, padding:padding + size]
+        assert gw.dtype == gx.dtype == dtype
+        npt.assert_array_equal(gw, want_w)
+        npt.assert_array_equal(gx, want_x)
+
+    def test_taped_forward_keeps_input_not_columns(self, rng):
+        # 64x16x16x16, 3x3: the whole batch's columns are 9.4 MB; the
+        # output and the padded input together are 2.4 MB.
+        x = Tensor(rng.standard_normal((64, 16, 16, 16)).astype(np.float32))
+        w = Parameter(rng.standard_normal((16, 16, 3, 3)).astype(np.float32))
+        col_bytes = 64 * 16 * 9 * 16 * 16 * 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                F.conv2d(x, w, padding=1)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        assert held < col_bytes / 2
 
     def test_channel_mismatch_names_both_shapes(self):
         x = Tensor(np.zeros((1, 3, 4, 4)))
@@ -314,8 +372,11 @@ class TestBackward:
                 h = F.conv2d(h, wc, padding=1)
             loss = F.mse_loss(h, Tensor(target))
         backward(tape, loss)
-        summed = sum(wc.grad for wc in copies)
-        npt.assert_allclose(total, summed, atol=1e-12, rtol=0)
+        # the tape accumulates the sites last to first
+        summed = np.zeros_like(total)
+        for wc in reversed(copies):
+            summed += wc.grad
+        npt.assert_array_equal(total, summed)
 
     def test_non_scalar_loss_rejected(self):
         w = Parameter(np.ones(3))

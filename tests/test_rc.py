@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rcnet.autodiff import Tensor
 from rcnet.layers import CellBody, run_cell_body
-from rcnet.rc import BnBank, RcCell, StepDistribution, sample_step, unroll
+from rcnet.rc import BnBank, RcCell, StepDistribution, unroll
 
 
 def make_cell(rng, mode="independent", max_step=3, channels=4,
@@ -215,14 +215,14 @@ class TestStepDistribution:
     def test_degenerate(self):
         rng = np.random.default_rng(0)
         d = StepDistribution.fixed(3)
-        assert all(sample_step(d, rng) == 3 for _ in range(20))
+        assert all(d.sample(rng) == 3 for _ in range(20))
 
     def test_seeded_sequences_identical(self):
         d = StepDistribution((2, 3, 4), (0.2, 0.3, 0.5))
         rng_a = np.random.Generator(np.random.PCG64(123))
         rng_b = np.random.Generator(np.random.PCG64(123))
-        seq_a = [sample_step(d, rng_a) for _ in range(200)]
-        seq_b = [sample_step(d, rng_b) for _ in range(200)]
+        seq_a = [d.sample(rng_a) for _ in range(200)]
+        seq_b = [d.sample(rng_b) for _ in range(200)]
         assert seq_a == seq_b
 
     def test_empirical_frequencies_within_4_sigma(self):
