@@ -220,18 +220,18 @@ def _load_input(path, spec):
 
 def cmd_eval(args) -> None:
     from .config import build_datasets
-    from .training import evaluate_classification, evaluate_denoise
+    from .errors import ConfigError
+    from .training import TASKS
 
     network = _load_network(args.checkpoint, args.step)
     cfg = _load_config(args.config)
+    if cfg.network.task != network.spec.task:
+        raise ConfigError(f"{args.config} is a {cfg.network.task} config, "
+                          f"the checkpoint a {network.spec.task} network")
+    task = TASKS[network.spec.task]
     _, test_set = build_datasets(cfg)
-    if network.spec.task == "classify":
-        value = evaluate_classification(network, test_set, args.step)
-        name = "err"
-    else:
-        value = evaluate_denoise(network, test_set, args.step)
-        name = "psnr"
-    print(f"metric={name} step={args.step} value={value:.6f}")
+    value = task.evaluate(network, test_set, args.step)
+    print(f"metric={task.metric} step={args.step} value={value:.6f}")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -240,7 +240,7 @@ def cmd_eval(args) -> None:
     with open(csv_path, "a") as f:
         if new:
             f.write("metric,step,value\n")
-        f.write(f"{name},{args.step},{value!r}\n")
+        f.write(f"{task.metric},{args.step},{value!r}\n")
 
 
 def cmd_infer(args) -> None:

@@ -11,12 +11,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .networks import NetworkSpec
+from .networks import TASK_BY_ARCH, NetworkSpec
 from .rc import StepDistribution
 from .training import TrainConfig, check_regime
 
-DATA_KINDS = ("synthetic_classify", "cifar10", "synthetic_denoise",
-              "pgm_folder")
+# data kind -> the task (NetworkSpec.task) whose train and test sets it builds
+DATA_KINDS = {"synthetic_classify": "classify", "cifar10": "classify",
+              "synthetic_denoise": "denoise", "pgm_folder": "denoise"}
 
 # defaults applied when regime = cost_adjustable leaves the step keys
 # untouched: higher probability on larger steps
@@ -196,12 +197,12 @@ def _assemble(v: dict, path) -> ExperimentConfig:
     net, tr, da, out = v["network"], v["train"], v["data"], v["output"]
 
     regime = tr["regime"]
-    if da["kind"] not in DATA_KINDS:
-        raise ConfigError(f"{path}: unknown data kind '{da['kind']}' "
-                          f"(expected one of {DATA_KINDS})")
     if da["kind"] in ("cifar10", "pgm_folder") and not da["path"]:
         raise ConfigError(f"{path}: [data] path is required for kind "
                           f"'{da['kind']}'")
+    if da["patch_size"] < 1:
+        raise ConfigError(f"{path}: [data] patch_size must be >= 1, got "
+                          f"{da['patch_size']}")
 
     support = tr["step_support"]
     probs = tr["step_probs"]
@@ -225,10 +226,9 @@ def _assemble(v: dict, path) -> ExperimentConfig:
         raise ConfigError(f"{path}: {e}") from e
 
     arch = net["arch"]
-    task = "denoise" if arch == "r3" else "classify"
-    channels = net["image_channels"]
-    if task == "denoise" and channels != 1:
-        channels = 1  # denoiser is grayscale; luminance conversion upstream
+    task = TASK_BY_ARCH.get(arch)  # an unknown arch fails in NetworkSpec
+    # a denoiser is grayscale; luminance conversion happens upstream
+    channels = 1 if task == "denoise" else net["image_channels"]
     try:
         spec = NetworkSpec(
             arch=arch, task=task, bn_mode=net["bn_mode"],
@@ -239,6 +239,10 @@ def _assemble(v: dict, path) -> ExperimentConfig:
             bn_momentum=net["bn_momentum"])
     except ValueError as e:
         raise ConfigError(f"{path}: invalid [network] section: {e}") from e
+    kinds = [kind for kind, t in DATA_KINDS.items() if t == task]
+    if da["kind"] not in kinds:
+        raise ConfigError(f"{path}: data kind '{da['kind']}' cannot train "
+                          f"arch '{arch}' (expected one of {kinds})")
 
     try:
         tcfg = TrainConfig(
@@ -293,18 +297,14 @@ def build_datasets(cfg: ExperimentConfig):
             da.count, h, np.random.SeedSequence([seed, 21]))
         clean_test = make_synthetic_textures(
             da.test_count, h, np.random.SeedSequence([seed, 22]))
-        train = DenoiseSet(clean=clean_train, sigma=da.sigma,
-                           patch_size=da.patch_size)
-        test = make_denoise_eval_set(clean_test, da.sigma,
-                                     np.random.SeedSequence([seed, 23]))
-        return train, test
-    if da.kind == "pgm_folder":
+    elif da.kind == "pgm_folder":
         root = Path(da.path)
-        train_imgs = load_pgm_folder(root / "train")
-        test_imgs = load_pgm_folder(root / "test")
-        train = DenoiseSet(clean=train_imgs, sigma=da.sigma,
-                           patch_size=da.patch_size)
-        test = make_denoise_eval_set(test_imgs, da.sigma,
-                                     np.random.SeedSequence([seed, 23]))
-        return train, test
-    raise DataError(f"unhandled data kind '{da.kind}'")
+        clean_train = load_pgm_folder(root / "train")
+        clean_test = load_pgm_folder(root / "test")
+    else:
+        raise DataError(f"unhandled data kind '{da.kind}'")
+    train = DenoiseSet(clean=clean_train, sigma=da.sigma,
+                       patch_size=da.patch_size)
+    test = make_denoise_eval_set(clean_test, da.sigma,
+                                 np.random.SeedSequence([seed, 23]))
+    return train, test

@@ -46,6 +46,10 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.images)
 
+    def epoch(self, data_rng, noise_rng):
+        """One epoch's (inputs, targets): the stored images and labels."""
+        return self.images, self.labels
+
 
 @dataclass
 class DenoisePair:
@@ -72,6 +76,19 @@ class DenoiseSet:
 
     def __len__(self) -> int:
         return len(self.clean)
+
+    def epoch(self, data_rng, noise_rng):
+        """One epoch's (noisy, clean): the crops draw every top, then every
+        left, from ``data_rng``; fresh noise comes from ``noise_rng``."""
+        clean, p = self.clean, self.patch_size
+        if p is not None and p < clean.shape[-1]:
+            n, _, hh, ww = clean.shape
+            tops = data_rng.integers(0, hh - p + 1, size=n)
+            lefts = data_rng.integers(0, ww - p + 1, size=n)
+            clean = np.stack([c[:, t:t + p, l:l + p]
+                              for c, t, l in zip(clean, tops, lefts)])
+        noise = noise_rng.standard_normal(clean.shape, dtype=np.float32)
+        return clean + np.float32(self.sigma) * noise, clean
 
 
 @dataclass

@@ -28,7 +28,8 @@ from .layers import (BnGroup, CellBody, ClassifierHead, ConvLayer, Module,
                      bn, he_conv)
 from .rc import BN_MODES, BnBank, RcCell, unroll
 
-ARCHS = ("r2", "r3", "r4")
+TASK_BY_ARCH = {"r2": "classify", "r3": "denoise", "r4": "classify"}
+ARCHS = tuple(TASK_BY_ARCH)
 CELL_KIND_BY_ARCH = {"r2": "preact_resblock", "r3": "conv_bn_relu",
                      "r4": "preact_resblock"}
 DENOISE_SCALE = 255.0  # images stay on the 0-255 scale; see forward()
@@ -60,13 +61,14 @@ class NetworkSpec:
             raise ValueError(f"unknown bn_mode '{self.bn_mode}'")
         if self.max_step < 1:
             raise ValueError(f"max_step must be >= 1, got {self.max_step}")
+        if any(w < 1 for w in self.widths):
+            raise ValueError(f"widths must be >= 1, got {self.widths}")
         if self.precision not in ("float32", "float64"):
             raise ValueError(f"precision must be float32/float64, got "
                              f"'{self.precision}'")
-        expected_task = "denoise" if self.arch == "r3" else "classify"
-        if self.task != expected_task:
+        if self.task != TASK_BY_ARCH[self.arch]:
             raise ValueError(f"arch '{self.arch}' implies task "
-                             f"'{expected_task}', got '{self.task}'")
+                             f"'{TASK_BY_ARCH[self.arch]}', got '{self.task}'")
         if self.arch == "r2":
             if len(self.widths) != 2 or self.widths[1] != 4 * self.widths[0]:
                 raise ValueError(

@@ -4,19 +4,22 @@ inference, and evaluation metrics.
 All regimes share one loop. Randomness is split into independent named
 streams (init/data/step/noise), so a cost-adjustable run with a singleton
 step distribution consumes data and noise randomness exactly like the
-fixed-step regime and produces a bit-identical trajectory.
+fixed-step regime and produces a bit-identical trajectory. What a task
+(classify or denoise) trains on, minimizes and reports is its entry in
+:data:`TASKS`; the loop and the evaluators do not branch on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import functional as F
 from .autodiff import Tape, Tensor, backward
 from .data import DenoiseEvalSet, LabeledDataset, psnr
-from .networks import Network
+from .networks import DENOISE_SCALE, Network
 from .optim import SGD, clip_grad_norm, global_grad_norm
 from .rc import StepDistribution
 
@@ -63,6 +66,11 @@ class TrainConfig:
         if self.clip_max_norm <= 0:
             raise ValueError(
                 f"clip_max_norm must be positive, got {self.clip_max_norm}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.weight_decay < 0:
+            raise ValueError(
+                f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
 
@@ -118,18 +126,10 @@ def _zero_grads(params) -> None:
         p.grad[...] = 0.0
 
 
-def _loss_for(network: Network, xb: np.ndarray, target, step: int,
-              classify: bool) -> Tensor:
-    out = network.forward(xb, step, training=True)
-    if classify:
-        return F.softmax_cross_entropy(out, target)
-    return F.mse_loss(out, Tensor(target))
-
-
 def _train(network: Network, train_set, test_set, cfg: TrainConfig,
            aggregated: bool, resume_state: dict | None = None) -> RunLog:
     dist = cfg.step_distribution
-    classify = network.spec.task == "classify"  # else denoise: L2 loss
+    task = TASKS[network.spec.task]
 
     rngs = RngStreams(cfg.seed)
     params = network.parameters()
@@ -139,7 +139,7 @@ def _train(network: Network, train_set, test_set, cfg: TrainConfig,
     opt = (SGD(params, cfg.lr, cfg.momentum, cfg.weight_decay)
            if cfg.lr > 0 else None)  # lr == 0: dry run, no updates
 
-    log = RunLog("err" if classify else "psnr")
+    log = RunLog(task.metric)
     iteration = 0
     start_epoch = 0
     if resume_state is not None:
@@ -147,52 +147,27 @@ def _train(network: Network, train_set, test_set, cfg: TrainConfig,
         iteration = int(resume_state["iteration"])
         start_epoch = int(resume_state["epoch"])
 
-    if classify:
-        images, labels = train_set.images, train_set.labels
-    else:
-        images = train_set.clean
-    n = len(images)
-    dtype = network.spec.dtype
-
-    patch = getattr(train_set, "patch_size", None) if not classify else None
-    if patch is not None and patch >= images.shape[-1]:
-        patch = None  # images already at or below patch size
-
     for epoch in range(start_epoch, cfg.epochs):
-        if not classify:
-            if patch is not None:
-                hh, ww = images.shape[-2:]
-                tops = rngs.data.integers(0, hh - patch + 1, size=n)
-                lefts = rngs.data.integers(0, ww - patch + 1, size=n)
-                epoch_clean = np.stack(
-                    [images[i, :, t:t + patch, l:l + patch]
-                     for i, (t, l) in enumerate(zip(tops, lefts))])
-            else:
-                epoch_clean = images
-            noise = rngs.noise.standard_normal(epoch_clean.shape,
-                                               dtype=np.float32)
-            noisy_epoch = epoch_clean + np.float32(train_set.sigma) * noise
+        inputs, targets = train_set.epoch(rngs.data, rngs.noise)
+        n = len(inputs)
         order = rngs.data.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
-            if classify:
-                xb = images[idx].astype(dtype, copy=False)
-                target = labels[idx]
-            else:
-                xb = noisy_epoch[idx].astype(dtype, copy=False)
-                target = epoch_clean[idx].astype(dtype, copy=False)
+            xb = inputs[idx].astype(network.spec.dtype, copy=False)
+            target = targets[idx]
 
             with Tape() as tape:
                 if aggregated:
                     step_rec = -1
                     loss = None
                     for s, prob in zip(dist.support, dist.probs):
-                        term = F.scale(
-                            _loss_for(network, xb, target, s, classify), prob)
+                        out = network.forward(xb, s, training=True)
+                        term = F.scale(task.loss(out, target), prob)
                         loss = term if loss is None else F.add(loss, term)
                 else:
                     step_rec = dist.sample(rngs.step)
-                    loss = _loss_for(network, xb, target, step_rec, classify)
+                    out = network.forward(xb, step_rec, training=True)
+                    loss = task.loss(out, target)
             _zero_grads(params)
             backward(tape, loss)
             pre = clip_grad_norm(params, cfg.clip_max_norm)
@@ -204,13 +179,8 @@ def _train(network: Network, train_set, test_set, cfg: TrainConfig,
                 iteration, step_rec, float(loss.data), pre, post))
 
         if cfg.eval_each_epoch and test_set is not None:
-            metrics = {}
-            for s in dist.support:
-                if classify:
-                    metrics[s] = evaluate_classification(network, test_set, s)
-                else:
-                    metrics[s] = evaluate_denoise(network, test_set, s)
-            log.epochs.append(EpochRecord(epoch + 1, metrics))
+            log.epochs.append(EpochRecord(epoch + 1, {
+                s: task.evaluate(network, test_set, s) for s in dist.support}))
 
     network.trained_support = list(dist.support)
     log.final_rng_state = rngs.state()
@@ -288,39 +258,59 @@ def infer(network: Network, x, step: int) -> np.ndarray:
     return out.data
 
 
-def evaluate_classification(network: Network, dataset: LabeledDataset,
-                            step: int, batch_size: int = 250) -> float:
-    """Misclassified fraction in [0, 1] over the dataset."""
-    if len(dataset) == 0:
+def _evaluate(network: Network, inputs, score, step: int,
+              batch: int) -> float:
+    """Mean per-item score of eval-mode forwards at ``step``, ``batch``
+    inputs per forward; ``score(outputs, lo)`` scores the items from
+    index ``lo`` on."""
+    if len(inputs) == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    dtype = network.spec.dtype
-    wrong = 0
-    for lo in range(0, len(dataset), batch_size):
-        xb = dataset.images[lo:lo + batch_size].astype(dtype, copy=False)
-        logits = network.forward(xb, step, training=False,
-                                 update_stats=False).data
-        pred = logits.argmax(axis=1)
-        wrong += int((pred != dataset.labels[lo:lo + batch_size]).sum())
-    return wrong / len(dataset)
-
-
-def evaluate_denoise(network: Network, eval_set: DenoiseEvalSet, step: int,
-                     max_value: float = 255.0) -> float:
-    """Mean per-image PSNR (dB) of the clipped prediction vs clean."""
-    if len(eval_set) == 0:
-        raise ValueError("cannot evaluate an empty dataset")
-    dtype = network.spec.dtype
     values = []
-    for pair in eval_set.pairs:
-        pred = network.forward(pair.noisy[None].astype(dtype, copy=False),
-                               step, training=False, update_stats=False).data[0]
-        pred = np.clip(pred, 0.0, max_value)
-        values.append(psnr(pred, pair.clean, max_value))
-    return float(np.mean(values))
+    for lo in range(0, len(inputs), batch):
+        xb = np.asarray(inputs[lo:lo + batch], dtype=network.spec.dtype)
+        out = network.forward(xb, step, training=False, update_stats=False)
+        values.append(score(out.data, lo))
+    return float(np.mean(np.concatenate(values)))
 
 
-def noisy_input_psnr(eval_set: DenoiseEvalSet,
-                     max_value: float = 255.0) -> float:
+def evaluate_classification(network: Network, dataset: LabeledDataset,
+                            step: int) -> float:
+    """Misclassified fraction in [0, 1] over the dataset."""
+    def wrong(logits, lo):
+        return logits.argmax(axis=1) != dataset.labels[lo:lo + len(logits)]
+    return _evaluate(network, dataset.images, wrong, step, batch=250)
+
+
+def evaluate_denoise(network: Network, eval_set: DenoiseEvalSet,
+                     step: int) -> float:
+    """Mean per-image PSNR (dB) of the clipped prediction vs clean."""
+    def image_psnr(preds, lo):
+        return [psnr(np.clip(pred, 0.0, DENOISE_SCALE), pair.clean)
+                for pred, pair in zip(preds, eval_set.pairs[lo:])]
+    return _evaluate(network, [p.noisy for p in eval_set.pairs], image_psnr,
+                     step, batch=1)
+
+
+def noisy_input_psnr(eval_set: DenoiseEvalSet) -> float:
     """Mean PSNR of the raw noisy inputs against their clean images."""
-    return float(np.mean([psnr(np.clip(p.noisy, 0.0, max_value), p.clean,
-                               max_value) for p in eval_set.pairs]))
+    return float(np.mean([psnr(np.clip(p.noisy, 0.0, DENOISE_SCALE), p.clean)
+                          for p in eval_set.pairs]))
+
+
+class Task(NamedTuple):
+    metric: str         # eval.csv column prefix and the printed metric name
+    loss: Callable      # (network output, target batch) -> scalar Tensor
+    evaluate: Callable  # (network, test set, step) -> metric value
+
+
+# what training and evaluation do for each NetworkSpec.task; the losses
+# look up ``F`` on every call, so a wrapped op is seen
+TASKS = {
+    "classify": Task(
+        metric="err", evaluate=evaluate_classification,
+        loss=lambda logits, labels: F.softmax_cross_entropy(logits, labels)),
+    "denoise": Task(
+        metric="psnr", evaluate=evaluate_denoise,
+        loss=lambda pred, clean: F.mse_loss(
+            pred, Tensor(clean.astype(pred.dtype, copy=False)))),
+}

@@ -4,7 +4,12 @@ network/dataset factories."""
 import struct
 from pathlib import Path
 
-import numpy as np
+from rcnet.cli import _cap_threads
+
+# The suite runs on one BLAS thread, as `RCNET_THREADS=1` runs do. The cap
+# only takes effect before numpy loads, and ``rcnet.cli`` imports no numpy.
+_cap_threads("1")
+import numpy as np  # noqa: E402
 import pytest
 
 from rcnet.autodiff import Parameter, Tape, Tensor, backward

@@ -264,6 +264,54 @@ class TestBadInputExitCodes:
         assert "multiple of 8" in capsys.readouterr().err
         assert not (tmp_path / "cost.csv").exists()
 
+    @pytest.mark.parametrize("text,old,new,kinds", [
+        (TOY_CLASSIFY, "synthetic_classify", "synthetic_denoise",
+         "['synthetic_classify', 'cifar10']"),
+        (TOY_DENOISE, "synthetic_denoise", "synthetic_classify",
+         "['synthetic_denoise', 'pgm_folder']"),
+        (TOY_CLASSIFY, "synthetic_classify", "mnist",
+         "['synthetic_classify', 'cifar10']")],
+        ids=["r2-denoise-data", "r3-classify-data", "unknown-kind"])
+    def test_data_kind_the_arch_cannot_train_exit_code_2(
+            self, tmp_path, text, old, new, kinds, capsys):
+        cfg = write_cfg(tmp_path, text.replace(old, new),
+                        out=tmp_path / "run")
+        assert run_cli(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"data kind '{new}' cannot train arch" in err
+        assert f"(expected one of {kinds})" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_config_of_another_task_exit_code_2(self, trained, tmp_path,
+                                                     capsys):
+        tmp, _ = trained
+        cfg = write_cfg(tmp_path, TOY_DENOISE, out=tmp_path / "run")
+        code = run_cli(["eval", "--checkpoint", tmp / "run" / "last.ckpt",
+                        "--config", cfg, "--step", "3",
+                        "--out-dir", tmp_path / "ev"])
+        assert code == 2
+        assert "is a denoise config" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("text,old,new,message", [
+        (TOY_DENOISE, "sigma = 25", "sigma = 25\npatch_size = 0",
+         "patch_size must be >= 1"),
+        (TOY_DENOISE, "sigma = 25", "sigma = 25\npatch_size = -3",
+         "patch_size must be >= 1"),
+        (TOY_CLASSIFY, "widths = 8,32", "widths = 0,0", "widths must be >= 1"),
+        (TOY_CLASSIFY, "lr = 0.05", "lr = 0.05\nmomentum = 1.5",
+         "momentum must be in [0, 1)"),
+        (TOY_CLASSIFY, "lr = 0.05", "lr = 0.05\nweight_decay = -1",
+         "weight_decay must be >= 0")],
+        ids=["patch_size-0", "patch_size-neg", "widths-0", "momentum-1.5",
+             "weight_decay-neg"])
+    def test_out_of_range_value_exit_code_2(self, tmp_path, text, old, new,
+                                            message, capsys):
+        cfg = write_cfg(tmp_path, text.replace(old, new),
+                        out=tmp_path / "run")
+        assert run_cli(["train", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,step", [("expand-check", 5),
                                               ("export-features", 7),
                                               ("infer", 4), ("eval", 0)])

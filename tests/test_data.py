@@ -10,7 +10,7 @@ from conftest import (build_seeded, poison_checkpoint, small_r2_spec,
                       small_r3_spec)
 from rcnet import checkpoint
 from rcnet.checkpoint import load_checkpoint, restore_into, save_checkpoint
-from rcnet.data import (add_gaussian_noise, load_cifar10,
+from rcnet.data import (DenoiseSet, add_gaussian_noise, load_cifar10,
                         make_synthetic_classification, make_synthetic_textures,
                         psnr, read_pgm, read_rct, write_pgm, write_rct)
 from rcnet.errors import (CheckpointError, DataError, NumericalCheckError,
@@ -165,6 +165,42 @@ class TestNoise:
         b = rng.uniform(0, 255, (1, 6, 6))
         assert psnr(a, a) == 99.0
         assert abs(psnr(a, b) - psnr(b, a)) < 1e-12
+
+
+class TestTrainingEpochs:
+    @staticmethod
+    def streams():
+        return np.random.default_rng(31), np.random.default_rng(32)
+
+    @pytest.mark.parametrize("patch", [8, 23, 24, 30, None])
+    def test_denoise_epoch_matches_reference(self, patch):
+        clean = make_synthetic_textures(5, 24, 2)
+        data_rng, noise_rng = self.streams()
+        noisy, target = DenoiseSet(clean=clean, sigma=25.0,
+                                   patch_size=patch).epoch(data_rng,
+                                                           noise_rng)
+
+        ref_data, ref_noise = self.streams()
+        want = clean
+        if patch is not None and patch < 24:  # tops, then lefts
+            tops = ref_data.integers(0, 24 - patch + 1, size=5)
+            lefts = ref_data.integers(0, 24 - patch + 1, size=5)
+            want = np.stack([clean[i, :, t:t + patch, l:l + patch]
+                             for i, (t, l) in enumerate(zip(tops, lefts))])
+        noise = ref_noise.standard_normal(want.shape, dtype=np.float32)
+        npt.assert_array_equal(target, want)
+        npt.assert_array_equal(noisy, want + np.float32(25.0) * noise)
+        assert data_rng.bit_generator.state == ref_data.bit_generator.state
+        assert noise_rng.bit_generator.state == ref_noise.bit_generator.state
+
+    def test_labeled_epoch_is_the_stored_data_and_draws_nothing(self):
+        ds = make_synthetic_classification(3, 12, 8, 4)
+        data_rng, noise_rng = self.streams()
+        images, labels = ds.epoch(data_rng, noise_rng)
+        assert images is ds.images and labels is ds.labels
+        ref_data, ref_noise = self.streams()
+        assert data_rng.bit_generator.state == ref_data.bit_generator.state
+        assert noise_rng.bit_generator.state == ref_noise.bit_generator.state
 
 
 class TestTextures:

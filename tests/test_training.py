@@ -9,7 +9,8 @@ import pytest
 
 from conftest import build_seeded, param_checksums, small_r2_spec, small_r3_spec
 from rcnet.data import (DenoiseSet, make_denoise_eval_set,
-                        make_synthetic_classification, make_synthetic_textures)
+                        make_synthetic_classification, make_synthetic_textures,
+                        psnr)
 from rcnet.rc import StepDistribution
 from rcnet.training import (TrainConfig, evaluate_classification,
                             evaluate_denoise, infer, noisy_input_psnr,
@@ -255,6 +256,28 @@ class TestInferenceAndMetrics:
         params["head.weight"].data[...] = 0.0
         params["head.bias"].data[...] = 0.0
         assert evaluate_denoise(net, test, 2) == noisy_input_psnr(test)
+
+    def test_denoise_eval_is_mean_of_per_image_psnr(self):
+        clean = make_synthetic_textures(3, 16, 5)
+        test = make_denoise_eval_set(clean, 25.0, 6)
+        net = build_seeded(small_r3_spec())
+        want = []
+        for pair in test.pairs:
+            pred = net.forward(pair.noisy[None], 2, training=False,
+                               update_stats=False).data[0]
+            want.append(psnr(np.clip(pred, 0.0, 255.0), pair.clean))
+        assert evaluate_denoise(net, test, 2) == np.mean(want)
+
+    def test_classification_eval_over_two_batches(self):
+        test = make_synthetic_classification(3, 260, 8, 13, split="test")
+        net = build_seeded(small_r2_spec(max_step=2))
+        wrong = 0
+        for lo, hi in ((0, 250), (250, 260)):  # 250 images per forward
+            logits = net.forward(test.images[lo:hi], 2, training=False,
+                                 update_stats=False).data
+            wrong += int((logits.argmax(axis=1) != test.labels[lo:hi]).sum())
+        assert 0 < wrong < 260
+        assert evaluate_classification(net, test, 2) == wrong / 260
 
     def test_eval_epoch_records(self, toy_data):
         net = build_seeded(small_r2_spec(max_step=2))
