@@ -225,10 +225,17 @@ def cmd_eval(args) -> None:
 
     network = _load_network(args.checkpoint, args.step)
     cfg = _load_config(args.config)
-    if cfg.network.task != network.spec.task:
-        raise ConfigError(f"{args.config} is a {cfg.network.task} config, "
-                          f"the checkpoint a {network.spec.task} network")
-    task = TASKS[network.spec.task]
+    spec, asked = network.spec, cfg.network
+    if asked.task != spec.task:
+        raise ConfigError(f"{args.config} is a {asked.task} config, "
+                          f"the checkpoint a {spec.task} network")
+    for what, want, have in (
+            ("image_channels", asked.image_shape[0], spec.image_shape[0]),
+            ("num_classes", asked.num_classes, spec.num_classes)):
+        if want != have:
+            raise ConfigError(f"{args.config} sets {what} = {want}, the "
+                              f"checkpoint's network has {have}")
+    task = TASKS[spec.task]
     _, test_set = build_datasets(cfg)
     value = task.evaluate(network, test_set, args.step)
     print(f"metric={task.metric} step={args.step} value={value:.6f}")

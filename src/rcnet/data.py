@@ -66,7 +66,7 @@ class DenoiseSet:
 
     The trainer draws fresh noise every epoch from its own seeded
     stream, so pairs are never stored. With ``patch_size`` set (and
-    smaller than the image extent), each epoch trains on one random crop
+    smaller than both image sides), each epoch trains on one random crop
     per image instead of the full frame.
     """
 
@@ -81,8 +81,8 @@ class DenoiseSet:
         """One epoch's (noisy, clean): the crops draw every top, then every
         left, from ``data_rng``; fresh noise comes from ``noise_rng``."""
         clean, p = self.clean, self.patch_size
-        if p is not None and p < clean.shape[-1]:
-            n, _, hh, ww = clean.shape
+        n, _, hh, ww = clean.shape
+        if p is not None and p < min(hh, ww):
             tops = data_rng.integers(0, hh - p + 1, size=n)
             lefts = data_rng.integers(0, ww - p + 1, size=n)
             clean = np.stack([c[:, t:t + p, l:l + p]

@@ -1,9 +1,11 @@
 """Differentiable tensor ops: convolution, batch normalization, pooling,
 invertible space-to-depth, linear maps and losses.
 
-All kernels are plain numpy in NCHW layout. Convolution uses cross-
-correlation semantics (no kernel flip), zero padding, and im2col columns
-multiplied by BLAS matmul; output extents must divide exactly.
+All kernels are plain numpy in NCHW layout. Convolution runs at stride 1
+with k//2 zero padding, so it keeps H x W; networks downsample by pooling
+(:func:`avgpool2d`, :func:`invpool`), never by a strided convolution. It
+uses cross-correlation semantics (no kernel flip) and im2col columns
+multiplied by BLAS matmul.
 
 The convolution forward builds and multiplies its columns one chunk of
 images at a time, about ``_COL_CHUNK_BYTES`` of columns per chunk, so each
@@ -46,31 +48,27 @@ def _check_same_dtype(op: str, *tensors) -> None:
 _COL_CHUNK_BYTES = 256 * 1024
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
-            ho: int, wo: int, cols: np.ndarray) -> None:
-    """Write the [n,c,kh,kw,ho,wo] columns of ``xp`` into ``cols``."""
+def _im2col(xp: np.ndarray, cols: np.ndarray) -> None:
+    """Write the [n,c,kh,kw,h,w] columns of the padded ``xp`` into ``cols``."""
+    _, _, kh, kw, h, w = cols.shape
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride,
-                                  j:j + stride * wo:stride]
+            cols[:, :, i, j] = xp[:, :, i:i + h, j:j + w]
 
 
-def _col2im(cols: np.ndarray, padded_shape, stride: int) -> np.ndarray:
-    n, c, kh, kw, ho, wo = cols.shape
+def _col2im(cols: np.ndarray, padded_shape) -> np.ndarray:
+    n, c, kh, kw, h, w = cols.shape
     dxp = np.zeros(padded_shape, dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i:i + stride * ho:stride,
-                j:j + stride * wo:stride] += cols[:, :, i, j]
+            dxp[:, :, i:i + h, j:j + w] += cols[:, :, i, j]
     return dxp
 
 
-def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlate ``x`` [N,C,H,W] with ``weight`` [O,C,kH,kW].
-
-    Requires odd kernel extents and exact output division:
-    H' = (H + 2*padding - kH) / stride + 1.
+def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tensor:
+    """Cross-correlate ``x`` [N,C,H,W] with ``weight`` [O,C,kH,kW] at
+    stride 1, zero-padded by kH//2 rows and kW//2 columns, so the output
+    keeps H x W. Kernel extents must be odd.
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ValueError(
@@ -84,35 +82,24 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None = None,
             f"{tuple(weight.shape)}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d kernel extents must be odd, got {kh}x{kw}")
-    if stride < 1 or padding < 0:
-        raise ValueError(f"conv2d: bad stride={stride} or padding={padding}")
-    if h + 2 * padding < kh or w + 2 * padding < kw:
-        raise ValueError(
-            f"conv2d: padded input {h + 2 * padding}x{w + 2 * padding} smaller "
-            f"than kernel {kh}x{kw}")
-    if (h + 2 * padding - kh) % stride or (w + 2 * padding - kw) % stride:
-        raise ValueError(
-            f"conv2d: output extent not exact for input {h}x{w}, kernel "
-            f"{kh}x{kw}, stride {stride}, padding {padding}")
     if bias is not None and bias.shape != (o,):
         raise ValueError(
             f"conv2d bias shape {tuple(bias.shape)} != ({o},)")
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
+    ph, pw = kh // 2, kw // 2
 
-    xp = (np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-          if padding else x.data)
+    xp = (np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+          if ph or pw else x.data)
     k = c * kh * kw
     wmat = weight.data.reshape(o, k)
-    chunk = min(n, max(1, _COL_CHUNK_BYTES // (k * ho * wo * xp.itemsize)))
-    cols = np.empty((chunk, c, kh, kw, ho, wo), dtype=xp.dtype)
-    cols2 = cols.reshape(chunk, k, ho * wo)
-    out = np.empty((n, o, ho * wo), dtype=xp.dtype)
+    chunk = min(n, max(1, _COL_CHUNK_BYTES // (k * h * w * xp.itemsize)))
+    cols = np.empty((chunk, c, kh, kw, h, w), dtype=xp.dtype)
+    cols2 = cols.reshape(chunk, k, h * w)
+    out = np.empty((n, o, h * w), dtype=xp.dtype)
     for b0 in range(0, n, chunk):
         b1 = min(b0 + chunk, n)
-        _im2col(xp[b0:b1], kh, kw, stride, ho, wo, cols[:b1 - b0])
+        _im2col(xp[b0:b1], cols[:b1 - b0])
         np.matmul(wmat, cols2[:b1 - b0], out=out[b0:b1])
-    out = out.reshape(n, o, ho, wo)
+    out = out.reshape(n, o, h, w)
     if bias is not None:
         out += bias.data.reshape(1, o, 1, 1)
     y = _out(out, x, weight, bias)
@@ -122,27 +109,23 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None = None,
         need_b = bias is not None and bias.requires_grad
 
         def bwd(g):
-            gm = g.reshape(n, o, ho * wo)
+            gm = g.reshape(n, o, h * w)
             gw = gb = gx = None
-            buf = np.empty(n * ho * wo * k, dtype=xp.dtype)
+            buf = np.empty(n * h * w * k, dtype=xp.dtype)
             if need_w:
-                # Columns as [n*ho*wo, k] rows: this dot gets exactly the
+                # Columns as [n*h*w, k] rows: this dot gets exactly the
                 # operands np.tensordot(gm, cols, ([0, 2], [0, 2])) would
                 # copy them to, so dW has the same bits as that form.
-                rows = buf.reshape(n, ho, wo, c, kh, kw)
-                _im2col(xp, kh, kw, stride, ho, wo,
-                        rows.transpose(0, 3, 4, 5, 1, 2))
-                gw = np.dot(gm.transpose(1, 0, 2).reshape(o, n * ho * wo),
-                            buf.reshape(n * ho * wo, k)).reshape(weight.shape)
+                rows = buf.reshape(n, h, w, c, kh, kw)
+                _im2col(xp, rows.transpose(0, 3, 4, 5, 1, 2))
+                gw = np.dot(gm.transpose(1, 0, 2).reshape(o, n * h * w),
+                            buf.reshape(n * h * w, k)).reshape(weight.shape)
             if need_b:
                 gb = g.sum(axis=(0, 2, 3))
             if need_x:
-                np.matmul(wmat.T, gm, out=buf.reshape(n, k, ho * wo))
-                gxp = _col2im(buf.reshape(n, c, kh, kw, ho, wo), xp.shape,
-                              stride)
-                gx = gxp[:, :, padding:padding + h, padding:padding + w]
-                if padding:
-                    gx = np.ascontiguousarray(gx)
+                np.matmul(wmat.T, gm, out=buf.reshape(n, k, h * w))
+                gxp = _col2im(buf.reshape(n, c, kh, kw, h, w), xp.shape)
+                gx = np.ascontiguousarray(gxp[:, :, ph:ph + h, pw:pw + w])
             return (gx, gw, gb) if bias is not None else (gx, gw)
 
         inputs = (x, weight, bias) if bias is not None else (x, weight)

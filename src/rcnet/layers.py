@@ -128,11 +128,11 @@ def run_cell_body(body: CellBody, x, bn_groups, training: bool,
 
     if body.kind == "preact_resblock":
         h = F.relu(bn(x, 0))
-        h = F.conv2d(h, body.convs[0], stride=1, padding=1)
+        h = F.conv2d(h, body.convs[0])
         h = F.relu(bn(h, 1))
-        h = F.conv2d(h, body.convs[1], stride=1, padding=1)
+        h = F.conv2d(h, body.convs[1])
         return F.add(x, h)
-    h = F.conv2d(x, body.convs[0], stride=1, padding=1)
+    h = F.conv2d(x, body.convs[0])
     return F.relu(bn(h, 0))
 
 
@@ -194,7 +194,7 @@ class ConvLayer(Module):
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype))
 
     def apply(self, x, step, training, update_stats):
-        return F.conv2d(x, self.weight, self.bias, stride=1, padding=1)
+        return F.conv2d(x, self.weight, self.bias)
 
     def named_parameters(self, prefix):
         yield f"{prefix}.weight", self.weight

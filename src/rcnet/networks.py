@@ -162,8 +162,8 @@ class PoolModule(Module):
 class TransitionModule(Module):
     """Non-recurrent pre-activation block between cell groups.
 
-    Width changes and 2x downsampling happen here (average pool followed
-    by stride-1 convs, which keeps every conv's output extent exact; the
+    Width changes and 2x downsampling happen here: an average pool, then
+    stride-1 convs with k//2 padding that keep the pooled H x W (the
     shortcut pools and projects with a 1x1 conv). ``bn1`` and ``bn2``
     are the non-recurrent banks over the input and output channels.
     """
@@ -189,9 +189,9 @@ class TransitionModule(Module):
             shortcut = F.avgpool2d(x)
         else:
             shortcut = x
-        m = F.conv2d(h, self.conv1, stride=1, padding=1)
+        m = F.conv2d(h, self.conv1)
         m = F.relu(bn(m, self.bn2, step, training, update_stats))
-        m = F.conv2d(m, self.conv2, stride=1, padding=1)
+        m = F.conv2d(m, self.conv2)
         return F.add(shortcut, m)
 
     def named_parameters(self, prefix):

@@ -19,6 +19,7 @@ import numpy as np
 from . import functional as F
 from .autodiff import Tape, Tensor, backward
 from .data import DenoiseEvalSet, LabeledDataset, psnr
+from .errors import NumericalCheckError
 from .networks import DENOISE_SCALE, Network
 from .optim import SGD, clip_grad_norm, global_grad_norm
 from .rc import StepDistribution
@@ -171,12 +172,18 @@ def _train(network: Network, train_set, test_set, cfg: TrainConfig,
             _zero_grads(params)
             backward(tape, loss)
             pre = clip_grad_norm(params, cfg.clip_max_norm)
+            iteration += 1
+            value = float(loss.data)
+            if not np.isfinite([value, pre]).all():
+                raise NumericalCheckError(
+                    f"training diverged at iteration {iteration}, step "
+                    f"{step_rec}: loss {value!r}, pre-clip gradient norm "
+                    f"{pre!r}")
             post = global_grad_norm(params)
             if opt is not None:
                 opt.step()
-            iteration += 1
             log.iterations.append(IterationRecord(
-                iteration, step_rec, float(loss.data), pre, post))
+                iteration, step_rec, value, pre, post))
 
         if cfg.eval_each_epoch and test_set is not None:
             log.epochs.append(EpochRecord(epoch + 1, {

@@ -39,6 +39,12 @@ def naive_conv2d(x, w, bias=None, stride=1, padding=1):
     return out
 
 
+# Stride-1, same-padded cases of the bit-exact conv tests. Each id spells
+# the geometry as kernel-stride-padding-size, naive_conv2d's arguments.
+SAME_CASES = [pytest.param(k, size, id=f"{k}-1-{k // 2}-{size}")
+              for k, size in [(3, 8), (3, 9), (5, 9), (1, 8)]]
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         x = Tensor(np.arange(1, 10, dtype=np.float64).reshape(1, 1, 3, 3))
@@ -47,85 +53,82 @@ class TestConv2d:
 
     def test_full_support_sum(self):
         x = Tensor(np.arange(1, 10, dtype=np.float64).reshape(1, 1, 3, 3))
-        y = F.conv2d(x, Parameter(np.ones((1, 1, 3, 3))), padding=1)
+        y = F.conv2d(x, Parameter(np.ones((1, 1, 3, 3))))
         assert y.data[0, 0, 1, 1] == 45.0
 
     def test_matches_naive_oracle(self, rng):
         x = rng.standard_normal((2, 3, 8, 8))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        got = F.conv2d(Tensor(x), Parameter(w), Parameter(b), padding=1).data
+        got = F.conv2d(Tensor(x), Parameter(w), Parameter(b)).data
         want = naive_conv2d(x, w, b, padding=1)
         npt.assert_allclose(got, want, atol=1e-12, rtol=0)
 
-    def test_strided_matches_naive_oracle(self, rng):
-        x = rng.standard_normal((2, 2, 7, 7))
-        w = rng.standard_normal((3, 2, 3, 3))
-        got = F.conv2d(Tensor(x), Parameter(w), stride=2, padding=1).data
-        want = naive_conv2d(x, w, stride=2, padding=1)
-        assert got.shape == (2, 3, 4, 4)
+    @pytest.mark.parametrize("size", [7, 8])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_same_padded_output_keeps_input_shape(self, rng, k, size):
+        x = rng.standard_normal((2, 3, size, size))
+        w = rng.standard_normal((4, 3, k, k))
+        got = F.conv2d(Tensor(x), Parameter(w)).data
+        want = naive_conv2d(x, w, padding=k // 2)
+        assert got.shape == want.shape == (2, 4, size, size)
         npt.assert_allclose(got, want, atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("k,stride,padding,size", [
-        (3, 1, 1, 8), (3, 2, 1, 9), (1, 1, 0, 8)])
+    @pytest.mark.parametrize("k,size", SAME_CASES)
     def test_chunked_forward_equals_taped_bit_for_bit(
-            self, rng, monkeypatch, dtype, k, stride, padding, size):
+            self, rng, monkeypatch, dtype, k, size):
         # n = 7 at three images per chunk: chunks of 3, 3 and 1, taped or
         # not.
         x = rng.standard_normal((7, 4, size, size)).astype(dtype)
         w = Parameter(rng.standard_normal((3, 4, k, k)).astype(dtype))
         b = Parameter(rng.standard_normal(3).astype(dtype))
-        ho = (size + 2 * padding - k) // stride + 1
-        per_image = 4 * k * k * ho * ho * np.dtype(dtype).itemsize
+        per_image = 4 * k * k * size * size * np.dtype(dtype).itemsize
         monkeypatch.setattr(F, "_COL_CHUNK_BYTES", 3 * per_image)
-        chunked = F.conv2d(Tensor(x), w, b, stride, padding).data
+        chunked = F.conv2d(Tensor(x), w, b).data
         with Tape():
-            taped = F.conv2d(Tensor(x), w, b, stride, padding)
+            taped = F.conv2d(Tensor(x), w, b)
         assert taped.requires_grad
         assert chunked.dtype == dtype
         npt.assert_array_equal(chunked, taped.data)
         tol = 1e-4 if dtype == np.float32 else 1e-12
-        npt.assert_allclose(chunked, naive_conv2d(x, w.data, b.data, stride,
-                                                  padding),
+        npt.assert_allclose(chunked, naive_conv2d(x, w.data, b.data,
+                                                  padding=k // 2),
                             atol=tol, rtol=0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("k,stride,padding,size", [
-        (3, 1, 1, 8), (3, 2, 1, 9), (1, 1, 0, 8)])
+    @pytest.mark.parametrize("k,size", SAME_CASES)
     def test_backward_equals_whole_batch_reference_bit_for_bit(
-            self, rng, monkeypatch, dtype, k, stride, padding, size):
-        # Reference: the whole batch's [n,c,kh,kw,ho,wo] columns, dW from
+            self, rng, monkeypatch, dtype, k, size):
+        # Reference: the whole batch's [n,c,kh,kw,h,w] columns, dW from
         # np.tensordot, dX from matmul and an explicit col2im loop.
-        n, c, o = 7, 4, 3
+        n, c, o, p = 7, 4, 3, k // 2
         x = rng.standard_normal((n, c, size, size)).astype(dtype)
         w = rng.standard_normal((o, c, k, k)).astype(dtype)
-        ho = (size + 2 * padding - k) // stride + 1
-        g = rng.standard_normal((n, o, ho, ho)).astype(dtype)
-        per_image = c * k * k * ho * ho * np.dtype(dtype).itemsize
+        g = rng.standard_normal((n, o, size, size)).astype(dtype)
+        per_image = c * k * k * size * size * np.dtype(dtype).itemsize
         monkeypatch.setattr(F, "_COL_CHUNK_BYTES", 3 * per_image)
         xt = Tensor(x)
         xt.requires_grad = True
         with Tape() as tape:
-            F.conv2d(xt, Parameter(w), stride=stride, padding=padding)
+            F.conv2d(xt, Parameter(w))
         [(_, _, bwd)] = tape.nodes
         gx, gw = bwd(g)
 
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        span = slice(0, stride * ho, stride)
-        cols = np.empty((n, c, k, k, ho, ho), dtype=dtype)
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        cols = np.empty((n, c, k, k, size, size), dtype=dtype)
         for i in range(k):
             for j in range(k):
-                cols[:, :, i, j] = xp[:, :, i:, j:][:, :, span, span]
-        gm = g.reshape(n, o, ho * ho)
-        want_w = np.tensordot(gm, cols.reshape(n, c * k * k, ho * ho),
+                cols[:, :, i, j] = xp[:, :, i:i + size, j:j + size]
+        gm = g.reshape(n, o, size * size)
+        want_w = np.tensordot(gm, cols.reshape(n, c * k * k, size * size),
                               axes=([0, 2], [0, 2])).reshape(w.shape)
         dcols = np.matmul(w.reshape(o, -1).T, gm).reshape(cols.shape)
         dxp = np.zeros(xp.shape, dtype=dtype)
         for i in range(k):
             for j in range(k):
-                dxp[:, :, i:, j:][:, :, span, span] += dcols[:, :, i, j]
-        want_x = dxp[:, :, padding:padding + size, padding:padding + size]
+                dxp[:, :, i:i + size, j:j + size] += dcols[:, :, i, j]
+        want_x = dxp[:, :, p:p + size, p:p + size]
         assert gw.dtype == gx.dtype == dtype
         npt.assert_array_equal(gw, want_w)
         npt.assert_array_equal(gx, want_x)
@@ -140,7 +143,7 @@ class TestConv2d:
         try:
             before = tracemalloc.get_traced_memory()[0]
             with Tape() as tape:
-                F.conv2d(x, w, padding=1)
+                F.conv2d(x, w)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -152,12 +155,6 @@ class TestConv2d:
         w = Parameter(np.zeros((2, 4, 3, 3)))
         with pytest.raises(ValueError, match=r"\(1, 3, 4, 4\).*\(2, 4, 3, 3\)"):
             F.conv2d(x, w)
-
-    def test_inexact_output_extent_rejected(self):
-        x = Tensor(np.zeros((1, 1, 8, 8)))
-        w = Parameter(np.zeros((1, 1, 3, 3)))
-        with pytest.raises(ValueError, match="not exact"):
-            F.conv2d(x, w, stride=2, padding=1)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
@@ -359,7 +356,7 @@ class TestBackward:
         with Tape() as tape:
             h = Tensor(x)
             for _ in range(k):
-                h = F.conv2d(h, w, padding=1)
+                h = F.conv2d(h, w)
             loss = F.mse_loss(h, Tensor(target))
         backward(tape, loss)
         total = w.grad.copy()
@@ -369,7 +366,7 @@ class TestBackward:
         with Tape() as tape:
             h = Tensor(x)
             for wc in copies:
-                h = F.conv2d(h, wc, padding=1)
+                h = F.conv2d(h, wc)
             loss = F.mse_loss(h, Tensor(target))
         backward(tape, loss)
         # the tape accumulates the sites last to first

@@ -293,6 +293,32 @@ class TestBadInputExitCodes:
         assert "is a denoise config" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("num_classes = 3", "num_classes = 5",
+         "sets num_classes = 5, the checkpoint's network has 3"),
+        ("image_size = 8", "image_size = 8\nimage_channels = 1",
+         "sets image_channels = 1, the checkpoint's network has 3")],
+        ids=["num_classes", "image_channels"])
+    def test_eval_config_the_network_cannot_serve_exit_code_2(
+            self, trained, tmp_path, old, new, message, capsys):
+        tmp, _ = trained
+        cfg = write_cfg(tmp_path, TOY_CLASSIFY.replace(old, new),
+                        out=tmp_path / "run")
+        code = run_cli(["eval", "--checkpoint", tmp / "run" / "last.ckpt",
+                        "--config", cfg, "--step", "3",
+                        "--out-dir", tmp_path / "ev"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+    def test_diverging_run_exit_code_5(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TOY_CLASSIFY.replace("lr = 0.05",
+                                                       "lr = 1e30"),
+                        out=tmp_path / "run")
+        assert run_cli(["train", "--config", cfg]) == 5
+        assert "training diverged at iteration" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "last.ckpt").exists()
+
     @pytest.mark.parametrize("text,old,new,message", [
         (TOY_DENOISE, "sigma = 25", "sigma = 25\npatch_size = 0",
          "patch_size must be >= 1"),

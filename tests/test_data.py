@@ -193,6 +193,17 @@ class TestTrainingEpochs:
         assert data_rng.bit_generator.state == ref_data.bit_generator.state
         assert noise_rng.bit_generator.state == ref_noise.bit_generator.state
 
+    @pytest.mark.parametrize("h,w", [(30, 50), (50, 30)])
+    def test_denoise_epoch_keeps_frame_when_patch_exceeds_a_side(self, h, w):
+        clean = np.arange(2 * h * w, dtype=np.float32).reshape(2, 1, h, w)
+        data_rng, noise_rng = self.streams()
+        noisy, target = DenoiseSet(clean=clean, sigma=25.0,
+                                   patch_size=40).epoch(data_rng, noise_rng)
+        ref_data, _ = self.streams()
+        npt.assert_array_equal(target, clean)
+        assert noisy.shape == clean.shape
+        assert data_rng.bit_generator.state == ref_data.bit_generator.state
+
     def test_labeled_epoch_is_the_stored_data_and_draws_nothing(self):
         ds = make_synthetic_classification(3, 12, 8, 4)
         data_rng, noise_rng = self.streams()

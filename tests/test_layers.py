@@ -68,7 +68,7 @@ class TestCellBody:
     def test_none_groups_skip_normalization(self, cbr_body, rng):
         x = Tensor(rng.standard_normal((2, 4, 6, 6)))
         y = run_cell_body(cbr_body, x, None, training=True)
-        want = F.relu(F.conv2d(x, cbr_body.convs[0], padding=1))
+        want = F.relu(F.conv2d(x, cbr_body.convs[0]))
         npt.assert_array_equal(y.data, want.data)
 
     def test_same_vs_different_groups_two_traversals(self, cbr_body, rng):

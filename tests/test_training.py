@@ -11,6 +11,7 @@ from conftest import build_seeded, param_checksums, small_r2_spec, small_r3_spec
 from rcnet.data import (DenoiseSet, make_denoise_eval_set,
                         make_synthetic_classification, make_synthetic_textures,
                         psnr)
+from rcnet.errors import NumericalCheckError
 from rcnet.rc import StepDistribution
 from rcnet.training import (TrainConfig, evaluate_classification,
                             evaluate_denoise, infer, noisy_input_psnr,
@@ -67,6 +68,17 @@ class TestPolicies:
         for rec in log.iterations:
             assert rec.grad_norm_post <= 1.0 + 1e-6
             assert rec.step == 2
+
+    def test_non_finite_loss_stops_before_the_update(self, toy_data):
+        net = build_seeded(small_r2_spec(max_step=2))
+        params = net.named_parameters()
+        params["cell1.conv0.weight"].data[0, 0, 0, 0] = np.inf
+        before = {k: p.data.copy() for k, p in params.items()}
+        with pytest.raises(NumericalCheckError,
+                           match="diverged at iteration 1, step 2"):
+            train_fixed(net, *toy_data, toy_cfg())
+        for k, p in params.items():
+            npt.assert_array_equal(p.data, before[k])
 
     def test_support_exceeding_max_step_rejected(self, toy_data):
         net = build_seeded(small_r2_spec(max_step=2))
