@@ -25,8 +25,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad")
 
-    def __init__(self, data, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.asarray(data)
         if arr.dtype not in SUPPORTED_DTYPES:
             raise TypeError(
                 f"unsupported dtype {arr.dtype}; tensors are float32 or float64"
@@ -56,29 +56,21 @@ class Tensor:
 class Parameter(Tensor):
     """Learnable tensor with gradient and momentum accumulators.
 
-    ``lr_scale`` rescales the optimizer step for this parameter alone;
-    weights shared across unroll steps default to 0.5, everything else
-    to 1.0.
+    ``is_shared`` marks weights shared across unroll steps; the optimizer
+    scales their step by its ``shared_lr_scale``.
     """
 
-    __slots__ = ("grad", "momentum_buf", "is_shared", "lr_scale")
+    __slots__ = ("grad", "momentum_buf", "is_shared")
 
-    def __init__(self, data, dtype=None, is_shared: bool = False,
-                 lr_scale: float | None = None):
-        super().__init__(data, dtype)
-        if lr_scale is None:
-            lr_scale = 0.5 if is_shared else 1.0
-        if not 0.0 < lr_scale <= 1.0:
-            raise ValueError(f"lr_scale must be in (0, 1], got {lr_scale}")
+    def __init__(self, data, is_shared: bool = False):
+        super().__init__(data)
         self.requires_grad = True
         self.grad = np.zeros_like(self.data)
         self.momentum_buf = np.zeros_like(self.data)
         self.is_shared = bool(is_shared)
-        self.lr_scale = float(lr_scale)
 
     def __repr__(self) -> str:
-        return (f"Parameter(shape={tuple(self.shape)}, shared={self.is_shared}, "
-                f"lr_scale={self.lr_scale})")
+        return f"Parameter(shape={tuple(self.shape)}, shared={self.is_shared})"
 
 
 # One node per op: (output, inputs, backward_fn). backward_fn maps the

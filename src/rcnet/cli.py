@@ -130,6 +130,11 @@ def cmd_train(args) -> None:
     from .training import RngStreams, run_training
 
     cfg = _load_config(args.config, args.seed, args.out_dir)
+    if cfg.network.precision != "float32":
+        from .errors import ConfigError
+        raise ConfigError(
+            f"{args.config}: checkpoints store float32 tensors, so rcnet "
+            f"train needs precision = float32, got {cfg.network.precision}")
     out_dir = Path(cfg.output.dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved.ini").write_text(cfg.resolved_text())
@@ -208,6 +213,8 @@ def _load_input(path, spec):
     if x.ndim != 4:
         raise DataError(f"{in_path}: expected [C,H,W] or [N,C,H,W] tensor, "
                         f"got shape {x.shape}")
+    if 0 in x.shape:
+        raise DataError(f"{in_path}: empty input of shape {x.shape}")
     _, c, h, w = x.shape
     if c != spec.image_shape[0]:
         raise DataError(f"{in_path}: {c} channels, the network expects "
@@ -320,7 +327,7 @@ def cmd_expand_check(args) -> None:
     x = rng.standard_normal((args.inputs, c, h, w)).astype(network.spec.dtype)
     if network.spec.task == "denoise":
         x = (x * 25.0 + 128.0).astype(network.spec.dtype)
-    a = network.forward(x, args.step, training=False, update_stats=False).data
+    a = network.forward(x, args.step, training=False).data
     b = expanded.forward(x, training=False).data
     dev = float(np.max(np.abs(a - b)))
     threshold = 1e-5 if network.spec.precision == "float32" else 1e-10
@@ -359,8 +366,8 @@ def cmd_export_features(args) -> None:
     x = _load_input(args.input, network.spec)
 
     collected: list = []
-    network.forward(x, args.step, training=False, update_stats=False,
-                    collect_cell=args.cell, collect=collected)
+    network.forward(x, args.step, training=False, collect_cell=args.cell,
+                    collect=collected)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for t, tensor in enumerate(collected, start=1):

@@ -7,6 +7,7 @@ dataset paths.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,8 +27,14 @@ CA_DEFAULT_PROBS = "0.2,0.3,0.5"
 
 
 def _parse_int(v): return int(v)
-def _parse_float(v): return float(v)
 def _parse_str(v): return v.strip()
+
+
+def _parse_float(v):
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: '{v.strip()}'")
+    return x
 
 
 def _parse_bool(v):
@@ -44,7 +51,7 @@ def _parse_int_list(v):
 
 
 def _parse_float_list(v):
-    return tuple(float(t) for t in v.split(",") if t.strip())
+    return tuple(_parse_float(t) for t in v.split(",") if t.strip())
 
 
 # section -> key -> (parser, default-as-string or None for "unset")
@@ -158,7 +165,7 @@ def _read_sections(path) -> dict[str, dict[str, str]]:
     cp.optionxform = str  # keys are case-sensitive
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     try:
         cp.read_string(text, source=str(path))

@@ -221,8 +221,8 @@ def make_denoise_eval_set(clean: np.ndarray, sigma: float,
     return DenoiseEvalSet(pairs=pairs, sigma=float(sigma))
 
 
-def psnr(a: np.ndarray, b: np.ndarray, max_value: float = 255.0) -> float:
-    """10*log10(max^2 / MSE) in dB, capped at 99 (exact matches included)."""
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """10*log10(255^2 / MSE) in dB, capped at 99 (exact matches included)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -230,7 +230,7 @@ def psnr(a: np.ndarray, b: np.ndarray, max_value: float = 255.0) -> float:
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return PSNR_CAP_DB
-    return min(PSNR_CAP_DB, 10.0 * math.log10(max_value * max_value / mse))
+    return min(PSNR_CAP_DB, 10.0 * math.log10(255.0 * 255.0 / mse))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,8 @@ def read_pgm(path) -> np.ndarray:
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
         token = data[start:pos]
-        if not token.isdigit():
+        # int() refuses digit strings past 4300 digits with a ValueError
+        if not token.isdigit() or len(token) > 9:
             raise DataError(f"{path}: malformed PGM header near byte {start}")
         fields.append(int(token))
     width, height, maxval = fields

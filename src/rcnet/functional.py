@@ -136,13 +136,12 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tenso
 # ---------------------------------------------------------------------------
 # batch normalization
 
-def batchnorm2d(x: Tensor, group, training: bool,
-                update_stats: bool = True) -> Tensor:
+def batchnorm2d(x: Tensor, group, training: bool) -> Tensor:
     """Per-channel batch normalization with the group's scale/shift.
 
-    Train mode normalizes by the batch mean and biased variance and, when
-    ``update_stats``, folds them into the running statistics with the
-    group's momentum. Eval mode normalizes by the stored running stats.
+    Train mode normalizes by the batch mean and biased variance and folds
+    them into the running statistics with the group's momentum. Eval mode
+    normalizes by the running statistics and never changes them.
     """
     if x.data.ndim != 4:
         raise ValueError(f"batchnorm2d expects [N,C,H,W], got {tuple(x.shape)}")
@@ -163,12 +162,11 @@ def batchnorm2d(x: Tensor, group, training: bool,
                 f"(got N*H*W = {m})")
         mu = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))
-        if update_stats:
-            mom = group.momentum
-            group.running_mean *= 1.0 - mom
-            group.running_mean += mom * mu
-            group.running_var *= 1.0 - mom
-            group.running_var += mom * var
+        mom = group.momentum
+        group.running_mean *= 1.0 - mom
+        group.running_mean += mom * mu
+        group.running_var *= 1.0 - mom
+        group.running_var += mom * var
         invstd = 1.0 / np.sqrt(var + x.dtype.type(group.eps))
         xhat = (x.data - mu.reshape(1, c, 1, 1)) * invstd.reshape(1, c, 1, 1)
         out = gamma.data.reshape(1, c, 1, 1) * xhat \

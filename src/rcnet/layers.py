@@ -109,8 +109,7 @@ class CellBody:
         return CellBody(kind=self.kind, convs=convs, channels=self.channels)
 
 
-def run_cell_body(body: CellBody, x, bn_groups, training: bool,
-                  update_stats: bool = True):
+def run_cell_body(body: CellBody, x, bn_groups, training: bool):
     """One traversal of the cell body.
 
     ``bn_groups`` supplies exactly ``body.bn_slots`` groups; ``None`` runs
@@ -124,7 +123,7 @@ def run_cell_body(body: CellBody, x, bn_groups, training: bool,
     def bn(h, slot):
         if bn_groups is None:
             return h
-        return F.batchnorm2d(h, bn_groups[slot], training, update_stats)
+        return F.batchnorm2d(h, bn_groups[slot], training)
 
     if body.kind == "preact_resblock":
         h = F.relu(bn(x, 0))
@@ -175,13 +174,13 @@ class Module:
             yield f"{name}.beta", g.beta
 
 
-def bn(x, bank, step: int, training: bool, update_stats: bool):
+def bn(x, bank, step: int, training: bool):
     """Normalize ``x`` with a non-recurrent layer's group for unified step
     ``step``; the identity when the bank has no groups (mode 'none')."""
     groups = bank.select(step)
     if groups is None:
         return x
-    return F.batchnorm2d(x, groups[0], training, update_stats)
+    return F.batchnorm2d(x, groups[0], training)
 
 
 class ConvLayer(Module):
@@ -193,7 +192,7 @@ class ConvLayer(Module):
         self.weight = he_conv(rng, out_channels, in_channels, 3, dtype)
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype))
 
-    def apply(self, x, step, training, update_stats):
+    def apply(self, x, step, training):
         return F.conv2d(x, self.weight, self.bias)
 
     def named_parameters(self, prefix):
@@ -217,8 +216,8 @@ class ClassifierHead(Module):
         self.weight = he_linear(rng, num_classes, bank.channels, dtype)
         self.bias = Parameter(np.zeros(num_classes, dtype=dtype))
 
-    def apply(self, x, step, training, update_stats):
-        h = F.relu(bn(x, self.bn, step, training, update_stats))
+    def apply(self, x, step, training):
+        h = F.relu(bn(x, self.bn, step, training))
         h = F.global_avgpool(h)
         return F.linear(h, self.weight, self.bias)
 

@@ -63,6 +63,11 @@ class NetworkSpec:
             raise ValueError(f"max_step must be >= 1, got {self.max_step}")
         if any(w < 1 for w in self.widths):
             raise ValueError(f"widths must be >= 1, got {self.widths}")
+        if not self.bn_eps >= 0:
+            raise ValueError(f"bn_eps must be >= 0, got {self.bn_eps}")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ValueError(
+                f"bn_momentum must be in [0, 1], got {self.bn_momentum}")
         if self.precision not in ("float32", "float64"):
             raise ValueError(f"precision must be float32/float64, got "
                              f"'{self.precision}'")
@@ -155,7 +160,7 @@ class PoolModule(Module):
     def __init__(self, op: str):
         self.op = op
 
-    def apply(self, x, step, training, update_stats):
+    def apply(self, x, step, training):
         return getattr(F, self.op)(x)
 
 
@@ -179,8 +184,8 @@ class TransitionModule(Module):
         self.proj = (he_conv(rng, out_ch, in_ch, 1, dtype)
                      if in_ch != out_ch else None)
 
-    def apply(self, x, step, training, update_stats):
-        h = F.relu(bn(x, self.bn1, step, training, update_stats))
+    def apply(self, x, step, training):
+        h = F.relu(bn(x, self.bn1, step, training))
         if self.downsample:
             h = F.avgpool2d(h)
         if self.proj is not None:
@@ -190,7 +195,7 @@ class TransitionModule(Module):
         else:
             shortcut = x
         m = F.conv2d(h, self.conv1)
-        m = F.relu(bn(m, self.bn2, step, training, update_stats))
+        m = F.relu(bn(m, self.bn2, step, training))
         m = F.conv2d(m, self.conv2)
         return F.add(shortcut, m)
 
@@ -215,23 +220,21 @@ class Network:
         self.trained_support: list[int] | None = None
 
     def forward(self, x, step: int, training: bool,
-                update_stats: bool | None = None,
                 collect_cell: str | None = None,
                 collect: list | None = None) -> Tensor:
         """Run the pipeline at unified step ``step``.
 
-        Denoise networks return the full prediction
-        ``input + 255 * f(input / 255)`` on the 0-255 scale, so a zeroed
-        head reproduces the input exactly.
+        Train mode folds each batch's statistics into the running
+        statistics of every BN group the step touches; eval mode reads
+        them and changes nothing. Denoise networks return the full
+        prediction ``input + 255 * f(input / 255)`` on the 0-255 scale, so
+        a zeroed head reproduces the input exactly.
         """
-        if update_stats is None:
-            update_stats = training
         if not 1 <= step <= self.max_step:
             raise ValueError(f"step {step} outside [1, {self.max_step}]")
-        return self._run(x, step, training, update_stats, collect_cell,
-                         collect)
+        return self._run(x, step, training, collect_cell, collect)
 
-    def _run(self, x, step, training, update_stats, collect_cell=None,
+    def _run(self, x, step, training, collect_cell=None,
              collect=None) -> Tensor:
         dtype = self.spec.dtype
         if not isinstance(x, Tensor):
@@ -244,9 +247,9 @@ class Network:
         for name, mod in self.modules:
             if mod.recurrent:
                 cl = collect if collect_cell == name else None
-                h = unroll(mod.cell, h, step, training, update_stats, collect=cl)
+                h = unroll(mod.cell, h, step, training, collect=cl)
             else:
-                h = mod.apply(h, step, training, update_stats)
+                h = mod.apply(h, step, training)
         if denoise:
             h = F.add(x0, F.scale(h, DENOISE_SCALE))
         return h
@@ -283,9 +286,8 @@ class ExpandedNetwork(Network):
     """Untied standard feedforward network produced by expansion; it has
     no recurrent modules, so its forward takes no step."""
 
-    def forward(self, x, training: bool = False,
-                update_stats: bool = False) -> Tensor:
-        return self._run(x, 1, training, update_stats)
+    def forward(self, x, training: bool = False) -> Tensor:
+        return self._run(x, 1, training)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +443,7 @@ def step_cost(network: Network, step: int) -> tuple[int, int, int]:
     spec = network.spec
     with Tape() as tape:
         network.forward(np.zeros((1,) + spec.image_shape, spec.dtype), step,
-                        training=False, update_stats=False)
+                        training=False)
     macs = depth = 0
     linear: dict[int, int] = {}
     for out, inputs, _ in tape.nodes:

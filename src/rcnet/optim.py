@@ -1,4 +1,4 @@
-"""SGD with momentum, per-parameter learning-rate scaling, and global
+"""SGD with momentum, a learning-rate scale for shared weights, and global
 gradient-norm clipping."""
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from .autodiff import Parameter
 
 
 class SGD:
-    """Momentum SGD; each step moves a parameter by lr * lr_scale.
+    """Momentum SGD; each step moves a parameter by ``lr``, or by
+    ``lr * shared_lr_scale`` when it is shared across unroll steps.
 
     Weight decay is added to the raw gradient before the momentum update,
     so it acts on every parameter each step (including BN groups that the
@@ -20,17 +21,21 @@ class SGD:
     """
 
     def __init__(self, params, lr: float, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        if lr <= 0:
+                 weight_decay: float = 0.0, shared_lr_scale: float = 1.0):
+        if not lr > 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
+        if not weight_decay >= 0:
             raise ValueError(f"weight decay must be >= 0, got {weight_decay}")
+        if not 0.0 < shared_lr_scale <= 1.0:
+            raise ValueError(
+                f"shared_lr_scale must be in (0, 1], got {shared_lr_scale}")
         self.params: list[Parameter] = list(params)
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
+        self.shared_lr_scale = float(shared_lr_scale)
 
     def step(self) -> None:
         for p in self.params:
@@ -41,7 +46,8 @@ class SGD:
                 p.momentum_buf *= p.dtype.type(self.momentum)
                 p.momentum_buf += g
                 g = p.momentum_buf
-            p.data -= p.dtype.type(self.lr * p.lr_scale) * g
+            scale = self.shared_lr_scale if p.is_shared else 1.0
+            p.data -= p.dtype.type(self.lr * scale) * g
 
 
 def global_grad_norm(params) -> float:

@@ -142,7 +142,7 @@ class RcCell:
 
 
 def unroll(cell: RcCell, x, steps: int, training: bool,
-           update_stats: bool = True, collect: list | None = None):
+           collect: list | None = None):
     """Apply the cell body ``steps`` times, selecting BN groups per step.
 
     ``collect``, if given, receives each step's output tensor (after the
@@ -155,7 +155,7 @@ def unroll(cell: RcCell, x, steps: int, training: bool,
     h = x
     for j in range(1, steps + 1):
         groups = cell.bank.select(steps, j)
-        h = run_cell_body(cell.body, h, groups, training, update_stats)
+        h = run_cell_body(cell.body, h, groups, training)
         if j == pool_at:
             h = F.avgpool2d(h)
         if collect is not None:
@@ -184,9 +184,10 @@ class StepDistribution:
                              f"{self.support}")
         if self.support[0] < 1:
             raise ValueError(f"steps must be >= 1, got {self.support}")
-        if any(p <= 0 for p in self.probs):
+        # stated so that NaN probabilities fail
+        if not all(p > 0 for p in self.probs):
             raise ValueError(f"probabilities must be positive, got {self.probs}")
-        if abs(sum(self.probs) - 1.0) > 1e-9:
+        if not abs(sum(self.probs) - 1.0) <= 1e-9:
             raise ValueError(
                 f"probabilities sum to {sum(self.probs)!r}, not 1")
 

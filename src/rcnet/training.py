@@ -59,17 +59,18 @@ class TrainConfig:
     eval_each_epoch: bool = True
 
     def __post_init__(self):
-        if self.lr < 0:
+        # each check is stated so that a NaN fails it
+        if not self.lr >= 0:
             raise ValueError(f"lr must be >= 0 (0 = dry run), got {self.lr}")
         if not 0.0 < self.shared_lr_scale <= 1.0:
             raise ValueError(
                 f"shared_lr_scale must be in (0, 1], got {self.shared_lr_scale}")
-        if self.clip_max_norm <= 0:
+        if not self.clip_max_norm > 0:
             raise ValueError(
                 f"clip_max_norm must be positive, got {self.clip_max_norm}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError(
                 f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.epochs < 1 or self.batch_size < 1:
@@ -134,10 +135,8 @@ def _train(network: Network, train_set, test_set, cfg: TrainConfig,
 
     rngs = RngStreams(cfg.seed)
     params = network.parameters()
-    for p in params:
-        if p.is_shared:
-            p.lr_scale = cfg.shared_lr_scale
-    opt = (SGD(params, cfg.lr, cfg.momentum, cfg.weight_decay)
+    opt = (SGD(params, cfg.lr, cfg.momentum, cfg.weight_decay,
+               cfg.shared_lr_scale)
            if cfg.lr > 0 else None)  # lr == 0: dry run, no updates
 
     log = RunLog(task.metric)
@@ -261,7 +260,7 @@ def infer(network: Network, x, step: int) -> np.ndarray:
     if support is not None and step not in support:
         raise ValueError(
             f"step {step} outside the trained support {sorted(support)}")
-    out = network.forward(x, step, training=False, update_stats=False)
+    out = network.forward(x, step, training=False)
     return out.data
 
 
@@ -275,7 +274,7 @@ def _evaluate(network: Network, inputs, score, step: int,
     values = []
     for lo in range(0, len(inputs), batch):
         xb = np.asarray(inputs[lo:lo + batch], dtype=network.spec.dtype)
-        out = network.forward(xb, step, training=False, update_stats=False)
+        out = network.forward(xb, step, training=False)
         values.append(score(out.data, lo))
     return float(np.mean(np.concatenate(values)))
 

@@ -1,5 +1,5 @@
-"""Shared test helpers: finite-difference gradient checking and tiny
-network/dataset factories."""
+"""Shared test helpers: finite-difference gradient checking, tiny
+network/dataset factories and a file-mutation strategy for fuzzing."""
 
 import struct
 from pathlib import Path
@@ -11,6 +11,7 @@ from rcnet.cli import _cap_threads
 _cap_threads("1")
 import numpy as np  # noqa: E402
 import pytest
+from hypothesis import strategies as st
 
 from rcnet.autodiff import Parameter, Tape, Tensor, backward
 from rcnet.networks import NetworkSpec, build_network
@@ -21,8 +22,9 @@ def finite_difference_check(build_loss, params, h=1e-5, floor=1e-3):
     """Max relative error between analytic and central-difference grads.
 
     ``build_loss`` recomputes the scalar loss from the current parameter
-    values; it must be pure (no running-stat updates). All tensors should
-    be double precision. The error for element i is
+    values; the loss must depend on the parameters only (a train-mode BN
+    forward may move running statistics it does not read). All tensors
+    should be double precision. The error for element i is
     |a_i - n_i| / max(|a_i|, |n_i|, floor), so elements with healthy
     gradients are checked relatively and near-zero ones absolutely.
     """
@@ -99,6 +101,25 @@ def poison_checkpoint(src, dst, name, value=float("nan")):
     at += 1 + 4 * raw[at]                     # rank byte, then the dims
     raw[at:at + 4] = struct.pack("<f", value)
     Path(dst).write_bytes(bytes(raw))
+
+
+@st.composite
+def mutations(draw, blob: bytes) -> bytes:
+    """``blob`` after one to three bit flips, insertions of 1-8 random
+    bytes, or truncations."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("flip", "insert", "truncate")))
+        if kind == "flip" and blob:
+            i = draw(st.integers(0, len(blob) - 1))
+            bit = 1 << draw(st.integers(0, 7))
+            blob = blob[:i] + bytes([blob[i] ^ bit]) + blob[i + 1:]
+        elif kind == "insert":
+            i = draw(st.integers(0, len(blob)))
+            blob = blob[:i] + draw(st.binary(min_size=1, max_size=8)) \
+                + blob[i:]
+        else:
+            blob = blob[:draw(st.integers(0, len(blob)))]
+    return blob
 
 
 @pytest.fixture

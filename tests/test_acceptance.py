@@ -6,6 +6,7 @@ stated CPU budgets.
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import copy
 import os
 import subprocess
 import sys
@@ -82,28 +83,28 @@ def test_criterion_1_expansion_equivalence():
         labels = rng.integers(0, 10, 16)
         for s in (1, 2, 3, 4):
             exp = expand_to_standard(net, s)
-            for training in (False, True):
-                a = net.forward(x, s, training=training,
-                                update_stats=False).data
+            # train mode moves running statistics: it runs on a copy, so
+            # every step's eval comparison sees the statistics set above
+            trained = copy.deepcopy(net)
+            for training, model in ((False, net), (True, trained)):
+                a = model.forward(x, s, training=training).data
                 b = exp.forward(x, training=training).data
                 worst[precision] = max(worst[precision],
                                        float(np.abs(a - b).max()))
             if precision == "float64":
                 from rcnet.autodiff import Tape, backward
-                for p in net.parameters():
+                for p in trained.parameters():
                     p.grad[...] = 0.0
                 with Tape() as tape:
                     loss = F.softmax_cross_entropy(
-                        net.forward(x, s, training=True,
-                                    update_stats=False), labels)
+                        trained.forward(x, s, training=True), labels)
                 backward(tape, loss)
                 with Tape() as tape:
                     loss2 = F.softmax_cross_entropy(
-                        exp.forward(x, training=True, update_stats=False),
-                        labels)
+                        exp.forward(x, training=True), labels)
                 backward(tape, loss2)
                 eparams = exp.named_parameters()
-                for cname, mod in net.modules:
+                for cname, mod in trained.modules:
                     if not mod.recurrent:
                         continue
                     for q, w in enumerate(mod.cell.body.convs):
@@ -151,12 +152,12 @@ def test_criterion_2_gradient_suite():
     g.running_var[...] = rng.uniform(0.5, 2.0, 3)
     xb = Parameter(rng.standard_normal((4, 3, 5, 5)) * 2 + 0.5)
     tgtb = rng.standard_normal((4, 3, 5, 5))
-    results["batchnorm_train"] = finite_difference_check(
-        lambda: F.mse_loss(
-            F.batchnorm2d(xb, g, training=True, update_stats=False),
-            Tensor(tgtb)), [xb, g.gamma, g.beta])
+    # eval first: each train-mode forward moves the running statistics
     results["batchnorm_eval"] = finite_difference_check(
         lambda: F.mse_loss(F.batchnorm2d(xb, g, training=False),
+                           Tensor(tgtb)), [xb, g.gamma, g.beta])
+    results["batchnorm_train"] = finite_difference_check(
+        lambda: F.mse_loss(F.batchnorm2d(xb, g, training=True),
                            Tensor(tgtb)), [xb, g.gamma, g.beta])
 
     # relu (inputs away from the kink)
@@ -219,8 +220,8 @@ def test_criterion_2_gradient_suite():
     tcell = rng.standard_normal((2, 4, 4, 4))
     results["preact_resblock"] = finite_difference_check(
         lambda: F.mse_loss(
-            run_cell_body(body, xcell, groups, training=True,
-                          update_stats=False), Tensor(tcell)),
+            run_cell_body(body, xcell, groups, training=True),
+            Tensor(tcell)),
         [xcell, body.convs[0], body.convs[1], groups[0].gamma,
          groups[0].beta, groups[1].gamma, groups[1].beta])
 
@@ -228,8 +229,8 @@ def test_criterion_2_gradient_suite():
     g2 = BnGroup.create(4, np.float64)
     results["conv_bn_relu"] = finite_difference_check(
         lambda: F.mse_loss(
-            run_cell_body(body2, xcell, [g2], training=True,
-                          update_stats=False), Tensor(tcell)),
+            run_cell_body(body2, xcell, [g2], training=True),
+            Tensor(tcell)),
         [xcell, body2.convs[0], g2.gamma, g2.beta])
 
     elapsed = time.time() - t0

@@ -213,6 +213,15 @@ class TestBatchNorm:
         y = F.batchnorm2d(x, g, training=False)
         npt.assert_allclose(y.data.ravel(), [1.0, 2.0], atol=1e-12)
 
+    def test_eval_leaves_running_statistics(self):
+        g = BnGroup.create(1, np.float64)
+        g.running_mean[...] = 1.0
+        g.running_var[...] = 4.0
+        x = Tensor(np.array([3.0, 9.0]).reshape(2, 1, 1, 1))
+        F.batchnorm2d(x, g, training=False)
+        npt.assert_array_equal(g.running_mean, [1.0])
+        npt.assert_array_equal(g.running_var, [4.0])
+
     @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-6),
                                             (np.float64, 1e-13)])
     def test_eval_matches_two_step_formula(self, rng, dtype, rtol):
@@ -236,13 +245,6 @@ class TestBatchNorm:
         # the error is bounded by rtol times their magnitude
         scale = np.abs(gamma / std * x) + np.abs(beta - mean * gamma / std)
         assert np.all(np.abs(y - want) <= rtol * np.maximum(scale, np.abs(want)))
-
-    def test_update_stats_flag(self):
-        g = BnGroup.create(1, np.float64)
-        x = Tensor(np.array([1.0, 5.0]).reshape(2, 1, 1, 1))
-        F.batchnorm2d(x, g, training=True, update_stats=False)
-        npt.assert_array_equal(g.running_mean, [0.0])
-        npt.assert_array_equal(g.running_var, [1.0])
 
 
 class TestSimpleOps:
@@ -389,12 +391,20 @@ class TestBackward:
 
 
 class TestOptimizer:
-    def test_half_lr_scale_step(self):
+    def test_shared_lr_scale_applies_to_shared_parameters_only(self):
+        shared = Parameter(np.array([1.0]), is_shared=True)
+        plain = Parameter(np.array([1.0]))
+        for p in (shared, plain):
+            p.grad[...] = 1.0
+        SGD([shared, plain], lr=0.1, shared_lr_scale=0.5).step()
+        assert shared.data[0] == 1.0 - 0.1 * 0.5
+        assert plain.data[0] == 1.0 - 0.1
+
+    def test_shared_lr_scale_defaults_to_one(self):
         p = Parameter(np.array([1.0]), is_shared=True)
-        assert p.lr_scale == 0.5
         p.grad[...] = 1.0
         SGD([p], lr=0.1).step()
-        npt.assert_allclose(p.data, [0.95], rtol=1e-12)
+        assert p.data[0] == 1.0 - 0.1
 
     def test_momentum_accumulates(self):
         p = Parameter(np.array([0.0]))

@@ -7,12 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from conftest import poison_checkpoint
+from conftest import build_seeded, mutations, poison_checkpoint, small_r3_spec
 from rcnet.cli import main
 from rcnet.config import parse_config
-from rcnet.data import make_synthetic_textures, read_pgm, read_rct, write_pgm
-from rcnet.errors import ConfigError
+from rcnet.data import (make_synthetic_textures, read_pgm, read_rct,
+                        write_pgm, write_rct)
+from rcnet.errors import ConfigError, RcnetError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -81,6 +83,11 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def readme_config_text():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
 class TestConfigParsing:
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -129,8 +136,7 @@ class TestConfigParsing:
         assert cfg.train.step_distribution.probs == (0.2, 0.3, 0.5)
 
     def test_readme_example_config_parses_verbatim(self, tmp_path):
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        text = readme_config_text()
         assert "; " in text  # the example carries inline comments
         p = tmp_path / "readme.ini"
         p.write_text(text)
@@ -138,6 +144,18 @@ class TestConfigParsing:
         assert cfg.network.widths == (16, 64)
         assert cfg.train.step_distribution.probs == (0.2, 0.3, 0.5)
         assert cfg.data.kind == "synthetic_classify"
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=mutations(readme_config_text().encode("utf-8")))
+    def test_mutated_readme_config_raises_only_config_errors(self, tmp_path,
+                                                            blob):
+        p = tmp_path / "fuzz.ini"
+        p.write_bytes(blob)
+        try:
+            parse_config(p)
+        except RcnetError:
+            pass
 
     def test_cost_adjustable_needs_di_mode(self, tmp_path):
         p = tmp_path / "ca.ini"
@@ -328,15 +346,70 @@ class TestBadInputExitCodes:
         (TOY_CLASSIFY, "lr = 0.05", "lr = 0.05\nmomentum = 1.5",
          "momentum must be in [0, 1)"),
         (TOY_CLASSIFY, "lr = 0.05", "lr = 0.05\nweight_decay = -1",
-         "weight_decay must be >= 0")],
+         "weight_decay must be >= 0"),
+        (TOY_CLASSIFY, "lr = 0.05", "lr = nan", "not a finite number: 'nan'"),
+        (TOY_CLASSIFY, "lr = 0.05", "lr = 0.05\nclip_max_norm = nan",
+         "not a finite number: 'nan'"),
+        (TOY_CLASSIFY, "0.4,0.6", "nan,nan", "not a finite number: 'nan'"),
+        (TOY_CLASSIFY, "lr = 0.05", "lr = 0.05\nweight_decay = nan",
+         "not a finite number: 'nan'"),
+        (TOY_CLASSIFY, "num_classes = 3", "num_classes = 3\nbn_eps = nan",
+         "not a finite number: 'nan'"),
+        (TOY_CLASSIFY, "num_classes = 3",
+         "num_classes = 3\nbn_momentum = nan", "not a finite number: 'nan'"),
+        (TOY_CLASSIFY, "num_classes = 3", "num_classes = 3\nbn_momentum = 5",
+         "bn_momentum must be in [0, 1]"),
+        (TOY_CLASSIFY, "num_classes = 3", "num_classes = 3\nbn_eps = -1",
+         "bn_eps must be >= 0")],
         ids=["patch_size-0", "patch_size-neg", "widths-0", "momentum-1.5",
-             "weight_decay-neg"])
+             "weight_decay-neg", "lr-nan", "clip_max_norm-nan",
+             "step_probs-nan", "weight_decay-nan", "bn_eps-nan",
+             "bn_momentum-nan", "bn_momentum-5", "bn_eps-neg"])
     def test_out_of_range_value_exit_code_2(self, tmp_path, text, old, new,
                                             message, capsys):
         cfg = write_cfg(tmp_path, text.replace(old, new),
                         out=tmp_path / "run")
         assert run_cli(["train", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_double_precision_train_exit_code_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TOY_CLASSIFY.replace(
+            "num_classes = 3", "num_classes = 3\nprecision = float64"),
+            out=tmp_path / "run")
+        assert run_cli(["train", "--config", cfg]) == 2
+        assert "needs precision = float32" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_config_that_is_not_text_exit_code_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bin.ini"
+        cfg.write_bytes(b"[network]\narch = r2\xff\n")
+        assert run_cli(["cost", "--config", cfg,
+                        "--out-dir", tmp_path / "cost"]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+        assert not (tmp_path / "cost").exists()
+
+    @pytest.mark.parametrize("command", ["infer", "export-features"])
+    @pytest.mark.parametrize("name,shape", [
+        ("x.rct", (1, 1, 0, 0)), ("x.rct", (0, 1, 16, 16)),
+        ("x.pgm", (0, 0))], ids=["rct-0x0", "rct-batch-0", "pgm-0x0"])
+    def test_empty_input_exit_code_3(self, tmp_path, command, name, shape,
+                                     capsys):
+        from rcnet.checkpoint import save_checkpoint
+        ckpt = tmp_path / "r3.ckpt"
+        save_checkpoint(ckpt, build_seeded(small_r3_spec()))
+        if name.endswith(".pgm"):
+            (tmp_path / name).write_bytes(b"P5\n0 0\n255\n")
+        else:
+            write_rct(tmp_path / name, np.zeros(shape, np.float32))
+        extra = (["--output", tmp_path / "y.rct"] if command == "infer"
+                 else ["--cell", "cell1", "--out-dir", tmp_path / "feat"])
+        code = run_cli([command, "--checkpoint", ckpt, "--input",
+                        tmp_path / name, "--step", "2"] + extra)
+        assert code == 3
+        assert "empty input" in capsys.readouterr().err
+        assert not (tmp_path / "y.rct").exists()
+        assert not (tmp_path / "feat").exists()
 
     @pytest.mark.parametrize("command,step", [("expand-check", 5),
                                               ("export-features", 7),

@@ -3,11 +3,11 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import (build_seeded, poison_checkpoint, small_r2_spec,
-                      small_r3_spec)
+from conftest import (build_seeded, mutations, poison_checkpoint,
+                      small_r2_spec, small_r3_spec)
 from rcnet import checkpoint
 from rcnet.checkpoint import load_checkpoint, restore_into, save_checkpoint
 from rcnet.data import (DenoiseSet, add_gaussian_noise, load_cifar10,
@@ -248,6 +248,23 @@ class TestPgm:
         p.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
         with pytest.raises(DataError, match="pixel bytes"):
             read_pgm(p)
+
+    def test_overlong_header_number_rejected(self, tmp_path):
+        p = tmp_path / "long.pgm"
+        p.write_bytes(b"P5\n" + b"1" * 5000 + b" 1\n255\n")
+        with pytest.raises(DataError, match="malformed PGM header"):
+            read_pgm(p)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=mutations(b"P5\n# texture\n4 3\n255\n" + bytes(range(12))))
+    def test_mutated_file_raises_only_typed_errors(self, tmp_path, blob):
+        p = tmp_path / "fuzz.pgm"
+        p.write_bytes(blob)
+        try:
+            read_pgm(p)
+        except RcnetError:
+            pass
 
 
 class TestRct:

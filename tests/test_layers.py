@@ -92,8 +92,7 @@ class TestCellBody:
 class TestStemHead:
     def test_stem_output_channels(self, rng):
         stem = ConvLayer(3, 8, rng, np.float32)
-        y = stem.apply(Tensor(np.zeros((2, 3, 8, 8), np.float32)), 1, False,
-                       False)
+        y = stem.apply(Tensor(np.zeros((2, 3, 8, 8), np.float32)), 1, False)
         assert y.shape == (2, 8, 8, 8)
 
     def test_head_on_constant_map_is_linear_of_constant(self, rng):
@@ -101,14 +100,14 @@ class TestStemHead:
         head = ClassifierHead(bank, 3, rng, np.float64)
         c = 0.7
         x = Tensor(np.full((2, 4, 5, 5), c))
-        y = head.apply(x, 1, False, False)
+        y = head.apply(x, 1, False)
         want = (head.weight.data @ np.full(4, c) + head.bias.data)
         npt.assert_allclose(y.data, np.stack([want, want]), rtol=1e-12)
 
     def test_denoise_head_shape(self, rng):
         head = ConvLayer(8, 1, rng, np.float32)
         y = head.apply(Tensor(np.zeros((2, 8, 16, 16), np.float32)), 1,
-                       False, False)
+                       False)
         assert y.shape == (2, 1, 16, 16)
 
     def test_banked_head_selects_by_step(self, rng):
@@ -117,7 +116,7 @@ class TestStemHead:
         head = ClassifierHead(bank, 3, rng, np.float64)
         assert bank.n_groups == 3
         x = Tensor(rng.standard_normal((2, 4, 4, 4)))
-        head.apply(x, 2, True, True)
+        head.apply(x, 2, True)
         assert [g.use_count for (g,) in bank.groups] == [0, 1, 0]
 
     def test_unbanked_head_single_group(self, rng):

@@ -52,6 +52,23 @@ class TestSpecValidation:
         NetworkSpec(arch="r3", task="denoise", bn_mode="independent",
                     max_step=2, widths=(8, 8, 8), image_shape=(1, 20, 20))
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("bn_eps", float("nan"), "bn_eps must be >= 0"),
+        ("bn_eps", -1e-5, "bn_eps must be >= 0"),
+        ("bn_momentum", float("nan"), r"bn_momentum must be in \[0, 1\]"),
+        ("bn_momentum", 5.0, r"bn_momentum must be in \[0, 1\]"),
+        ("bn_momentum", -0.1, r"bn_momentum must be in \[0, 1\]")],
+        ids=["eps-nan", "eps-neg", "momentum-nan", "momentum-5",
+             "momentum-neg"])
+    def test_bn_setting_out_of_range_rejected(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            NetworkSpec(**{**paper_r2_spec(2).to_dict(), key: value})
+
+    def test_bn_setting_bounds_accepted(self):
+        for eps, momentum in ((0.0, 0.0), (1e-5, 1.0)):
+            NetworkSpec(**{**paper_r2_spec(2).to_dict(), "bn_eps": eps,
+                           "bn_momentum": momentum})
+
     def test_spec_dict_roundtrip(self):
         spec = paper_r2_spec(3)
         assert NetworkSpec.from_dict(spec.to_dict()) == spec
@@ -134,7 +151,7 @@ class TestR4Accounting:
         net = build_seeded(spec, seed=3)
         x = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
         for s in (1, 2):
-            y = net.forward(x, s, training=False, update_stats=False)
+            y = net.forward(x, s, training=False)
             assert y.shape == (2, 5)
             exp = expand_to_standard(net, s)
             z = exp.forward(x, training=False)
@@ -289,7 +306,7 @@ def test_expansion_equivalence(arch, mode, step, rng):
     losses = []
     for model, args in ((net, (step,)), (exp, ())):
         with Tape() as tape:
-            out = model.forward(x, *args, training=True, update_stats=False)
+            out = model.forward(x, *args, training=True)
             loss = _task_loss(net.spec, out, x, labels)
         backward(tape, loss)
         losses.append(float(loss.data))
@@ -347,12 +364,11 @@ class TestExpansion:
                 p.grad[...] = 0.0
             with Tape() as tape:
                 loss = F.softmax_cross_entropy(
-                    net.forward(x, s, training=True, update_stats=False),
-                    labels)
+                    net.forward(x, s, training=True), labels)
             backward(tape, loss)
             with Tape() as tape:
                 loss2 = F.softmax_cross_entropy(
-                    exp.forward(x, training=True, update_stats=False), labels)
+                    exp.forward(x, training=True), labels)
             backward(tape, loss2)
             npt.assert_allclose(float(loss.data), float(loss2.data),
                                 atol=1e-12)
@@ -375,7 +391,7 @@ class TestDenoiserR3:
         params["head.bias"].data[...] = 0.0
         x = (rng.standard_normal((2, 1, 16, 16)) * 25 + 128) \
             .astype(np.float32)
-        y = net.forward(x, 2, training=False, update_stats=False)
+        y = net.forward(x, 2, training=False)
         npt.assert_array_equal(y.data, x)
 
     def test_depth_is_3n_plus_2(self):

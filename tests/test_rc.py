@@ -252,3 +252,7 @@ class TestStepDistribution:
     def test_invalid_distributions_rejected(self, support, probs):
         with pytest.raises(ValueError):
             StepDistribution(support, probs)
+
+    def test_nan_probabilities_rejected(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            StepDistribution((2, 3), (float("nan"), float("nan")))

@@ -47,7 +47,7 @@ class TestPolicies:
 
     def test_shared_update_is_half_of_unscaled(self, toy_data):
         # one iteration, no momentum: shared params move by exactly half
-        # of what an lr_scale=1 run applies (double precision keeps the
+        # of what a shared_lr_scale=1 run applies (double precision keeps the
         # before/after subtraction sharp)
         runs = {}
         for scale in (0.5, 1.0):
@@ -79,6 +79,11 @@ class TestPolicies:
             train_fixed(net, *toy_data, toy_cfg())
         for k, p in params.items():
             npt.assert_array_equal(p.data, before[k])
+
+    @pytest.mark.parametrize("key", ["lr", "clip_max_norm", "weight_decay"])
+    def test_nan_setting_rejected(self, key):
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            TrainConfig(**{key: float("nan")})
 
     def test_support_exceeding_max_step_rejected(self, toy_data):
         net = build_seeded(small_r2_spec(max_step=2))
@@ -275,8 +280,7 @@ class TestInferenceAndMetrics:
         net = build_seeded(small_r3_spec())
         want = []
         for pair in test.pairs:
-            pred = net.forward(pair.noisy[None], 2, training=False,
-                               update_stats=False).data[0]
+            pred = net.forward(pair.noisy[None], 2, training=False).data[0]
             want.append(psnr(np.clip(pred, 0.0, 255.0), pair.clean))
         assert evaluate_denoise(net, test, 2) == np.mean(want)
 
@@ -285,8 +289,7 @@ class TestInferenceAndMetrics:
         net = build_seeded(small_r2_spec(max_step=2))
         wrong = 0
         for lo, hi in ((0, 250), (250, 260)):  # 250 images per forward
-            logits = net.forward(test.images[lo:hi], 2, training=False,
-                                 update_stats=False).data
+            logits = net.forward(test.images[lo:hi], 2, training=False).data
             wrong += int((logits.argmax(axis=1) != test.labels[lo:hi]).sum())
         assert 0 < wrong < 260
         assert evaluate_classification(net, test, 2) == wrong / 260
