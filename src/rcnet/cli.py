@@ -114,10 +114,16 @@ def main(argv=None) -> int:
 # handlers
 
 def _load_config(path, seed=None, out_dir=None):
+    from dataclasses import replace
+
     from .config import parse_config
+    from .errors import ConfigError
     cfg = parse_config(path)
     if seed is not None:
-        cfg.train.seed = seed
+        try:  # through TrainConfig's checks, as a config seed goes
+            cfg.train = replace(cfg.train, seed=seed)
+        except ValueError as e:
+            raise ConfigError(f"--seed: {e}") from e
     if out_dir is not None:
         cfg.output.dir = str(out_dir)
     return cfg
@@ -126,12 +132,12 @@ def _load_config(path, seed=None, out_dir=None):
 def cmd_train(args) -> None:
     from .checkpoint import restore_into, save_checkpoint
     from .config import build_datasets
+    from .errors import ConfigError
     from .networks import build_network
-    from .training import RngStreams, run_training
+    from .training import RngStreams, check_batches, run_training
 
     cfg = _load_config(args.config, args.seed, args.out_dir)
     if cfg.network.precision != "float32":
-        from .errors import ConfigError
         raise ConfigError(
             f"{args.config}: checkpoints store float32 tensors, so rcnet "
             f"train needs precision = float32, got {cfg.network.precision}")
@@ -142,6 +148,10 @@ def cmd_train(args) -> None:
     network = build_network(cfg.network,
                             rng=RngStreams(cfg.train.seed).init)
     train_set, test_set = build_datasets(cfg)
+    try:
+        check_batches(cfg.network, train_set, cfg.train.batch_size)
+    except ValueError as e:
+        raise ConfigError(f"{args.config}: {e}") from e
     # dataset sizes are taken as given (file lists are not second-guessed)
     print(f"data: train={len(train_set)} test={len(test_set)}")
 
@@ -167,10 +177,6 @@ def cmd_train(args) -> None:
         "rng": log.final_rng_state,
     }
     save_checkpoint(out_dir / "last.ckpt", network, trainer_state)
-    if cfg.output.save_best:
-        # one checkpoint per run at desk scale: best == final weights,
-        # kept under a stable name for downstream tooling
-        save_checkpoint(out_dir / "best.ckpt", network, trainer_state)
 
     if log.epochs:
         last = log.epochs[-1]
@@ -186,12 +192,10 @@ def _load_network(path, step: int):
     from .errors import ConfigError
 
     network, _ = load_checkpoint(path)
-    if not 1 <= step <= network.max_step:
-        raise ConfigError(f"step {step} outside [1, {network.max_step}]")
-    support = network.trained_support
-    if support is not None and step not in support:
-        raise ConfigError(
-            f"step {step} outside the trained support {sorted(support)}")
+    try:
+        network.check_serving_step(step)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     return network
 
 

@@ -95,7 +95,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "output": {
         "dir": (_parse_str, "run_out"),
-        "save_best": (_parse_bool, "true"),
     },
 }
 
@@ -116,7 +115,6 @@ class DataConfig:
 @dataclass
 class OutputConfig:
     dir: str
-    save_best: bool
 
 
 @dataclass
@@ -267,7 +265,7 @@ def _assemble(v: dict, path) -> ExperimentConfig:
         test_samples=da["test_samples"], pattern_noise=da["pattern_noise"],
         sigma=da["sigma"], count=da["count"], test_count=da["test_count"],
         patch_size=da["patch_size"])
-    out_cfg = OutputConfig(dir=out["dir"], save_best=out["save_best"])
+    out_cfg = OutputConfig(dir=out["dir"])
     return ExperimentConfig(network=spec, train=tcfg, regime=regime,
                             data=data_cfg, output=out_cfg)
 
@@ -291,11 +289,11 @@ def build_datasets(cfg: ExperimentConfig):
         train = make_synthetic_classification(
             spec.num_classes, da.samples, h,
             np.random.SeedSequence([seed, 11]), channels=c,
-            noise=da.pattern_noise, split="train")
+            noise=da.pattern_noise)
         test = make_synthetic_classification(
             spec.num_classes, da.test_samples, h,
             np.random.SeedSequence([seed, 12]), channels=c,
-            noise=da.pattern_noise, split="test")
+            noise=da.pattern_noise)
         return train, test
     if da.kind == "cifar10":
         return load_cifar10(da.path, "train"), load_cifar10(da.path, "test")

@@ -29,7 +29,6 @@ class LabeledDataset:
 
     images: np.ndarray
     labels: np.ndarray
-    split: str
     num_classes: int
 
     def __post_init__(self):
@@ -46,6 +45,11 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.images)
 
+    @property
+    def frame(self) -> tuple[int, int]:
+        """H x W of the images one epoch trains on."""
+        return self.images.shape[2:]
+
     def epoch(self, data_rng, noise_rng):
         """One epoch's (inputs, targets): the stored images and labels."""
         return self.images, self.labels
@@ -57,7 +61,6 @@ class DenoisePair:
 
     clean: np.ndarray   # [C,H,W]
     noisy: np.ndarray   # [C,H,W]
-    sigma: float
 
 
 @dataclass
@@ -77,15 +80,23 @@ class DenoiseSet:
     def __len__(self) -> int:
         return len(self.clean)
 
+    @property
+    def frame(self) -> tuple[int, int]:
+        """H x W of the images one epoch trains on: the crop, if any."""
+        hh, ww = self.clean.shape[2:]
+        p = self.patch_size
+        return (p, p) if p is not None and p < min(hh, ww) else (hh, ww)
+
     def epoch(self, data_rng, noise_rng):
         """One epoch's (noisy, clean): the crops draw every top, then every
         left, from ``data_rng``; fresh noise comes from ``noise_rng``."""
-        clean, p = self.clean, self.patch_size
+        clean = self.clean
         n, _, hh, ww = clean.shape
-        if p is not None and p < min(hh, ww):
-            tops = data_rng.integers(0, hh - p + 1, size=n)
-            lefts = data_rng.integers(0, ww - p + 1, size=n)
-            clean = np.stack([c[:, t:t + p, l:l + p]
+        ph, pw = self.frame
+        if (ph, pw) != (hh, ww):
+            tops = data_rng.integers(0, hh - ph + 1, size=n)
+            lefts = data_rng.integers(0, ww - pw + 1, size=n)
+            clean = np.stack([c[:, t:t + ph, l:l + pw]
                               for c, t, l in zip(clean, tops, lefts)])
         noise = noise_rng.standard_normal(clean.shape, dtype=np.float32)
         return clean + np.float32(self.sigma) * noise, clean
@@ -96,7 +107,6 @@ class DenoiseEvalSet:
     """Evaluation-side denoise data: pairs with frozen noise."""
 
     pairs: list[DenoisePair]
-    sigma: float
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -138,7 +148,7 @@ def load_cifar10(path, split: str = "train") -> LabeledDataset:
                       .astype(np.float32) / 255.0)
         labels.append(lab)
     return LabeledDataset(np.concatenate(images), np.concatenate(labels),
-                          split=split, num_classes=10)
+                          num_classes=10)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +157,7 @@ def load_cifar10(path, split: str = "train") -> LabeledDataset:
 def make_synthetic_classification(num_classes: int, samples: int,
                                   image_size: int, seed,
                                   channels: int = 3,
-                                  noise: float = 0.15,
-                                  split: str = "train") -> LabeledDataset:
+                                  noise: float = 0.15) -> LabeledDataset:
     """Class-conditional oriented gratings with random phase.
 
     The random phase makes every class zero-mean on raw pixels, so a
@@ -174,7 +183,7 @@ def make_synthetic_classification(num_classes: int, samples: int,
     imgs = 0.5 + pattern[:, None, :, :] \
         + noise * rng.standard_normal((samples, channels, image_size, image_size))
     imgs = np.clip(imgs, 0.0, 1.0).astype(np.float32)
-    return LabeledDataset(imgs, labels, split=split, num_classes=num_classes)
+    return LabeledDataset(imgs, labels, num_classes=num_classes)
 
 
 def make_synthetic_textures(count: int, size: int, seed) -> np.ndarray:
@@ -210,7 +219,7 @@ def add_gaussian_noise(clean: np.ndarray, sigma: float,
     if clean.ndim != 3:
         raise DataError(f"clean image must be [C,H,W], got {clean.shape}")
     noisy = clean + sigma * rng.standard_normal(clean.shape, dtype=np.float32)
-    return DenoisePair(clean=clean, noisy=noisy, sigma=float(sigma))
+    return DenoisePair(clean=clean, noisy=noisy)
 
 
 def make_denoise_eval_set(clean: np.ndarray, sigma: float,
@@ -218,7 +227,7 @@ def make_denoise_eval_set(clean: np.ndarray, sigma: float,
     """Freeze one noisy counterpart per clean image for evaluation."""
     rng = np.random.default_rng(seed)
     pairs = [add_gaussian_noise(img, sigma, rng) for img in clean]
-    return DenoiseEvalSet(pairs=pairs, sigma=float(sigma))
+    return DenoiseEvalSet(pairs=pairs)
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

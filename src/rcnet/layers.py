@@ -1,6 +1,6 @@
 """Layer blocks: batch-norm parameter groups, shared-weight cell bodies,
-the pipeline-stage protocol, and the conv and classifier layers around
-the cells.
+the pipeline-stage protocol, and the conv, pooling and classifier stages
+around the cells.
 
 Cell bodies keep input and output channel counts equal so they can be
 applied repeatedly; the two supported kinds are the pre-activation
@@ -181,6 +181,17 @@ def bn(x, bank, step: int, training: bool):
     if groups is None:
         return x
     return F.batchnorm2d(x, groups[0], training)
+
+
+class PoolModule(Module):
+    """Parameter-free resampling by the named ``functional`` op: the 2x2
+    ``avgpool2d`` or the channel-quadrupling ``invpool``."""
+
+    def __init__(self, op: str):
+        self.op = op
+
+    def apply(self, x, step, training):
+        return getattr(F, self.op)(x)
 
 
 class ConvLayer(Module):

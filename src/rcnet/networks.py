@@ -1,6 +1,7 @@
 """Network assembly and structural accounting.
 
-Three architectures are built here:
+Three architectures are built here, each a list of named stages whose
+recurrent cells are ``rc.RcCell`` objects run through ``unroll``:
 
 * ``r2`` -- classifier: stem -> cell(w) -> invpool -> cell(4w) -> head,
   pre-activation residual cells that average-pool after step ceil(s/2).
@@ -12,7 +13,7 @@ Three architectures are built here:
 
 Also houses the untied-expansion oracle, the BN export table, and the
 parameter/depth/FLOP report, all derived from the built network: each
-module names and addresses its own BN groups and unties itself, and the
+stage names and addresses its own BN groups and unties itself, and the
 report counts the parameters and a traced forward of the network.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 from . import functional as F
 from .autodiff import Parameter, Tape, Tensor
 from .layers import (BnGroup, CellBody, ClassifierHead, ConvLayer, Module,
-                     bn, he_conv)
+                     PoolModule, bn, he_conv)
 from .rc import BN_MODES, BnBank, RcCell, unroll
 
 TASK_BY_ARCH = {"r2": "classify", "r3": "denoise", "r4": "classify"}
@@ -121,49 +122,6 @@ class NetworkSpec:
 # ---------------------------------------------------------------------------
 # pipeline stages
 
-class RcCellModule(Module):
-    recurrent = True
-
-    def __init__(self, cell: RcCell):
-        self.cell = cell
-
-    def named_parameters(self, prefix):
-        for q, w in enumerate(self.cell.body.convs):
-            yield f"{prefix}.conv{q}.weight", w
-        yield from self._bn_parameters(prefix)
-
-    def named_bn_groups(self, prefix):
-        bank = self.cell.bank
-        for addr, (s, j) in enumerate(bank.address_labels()):
-            aname = bank.address_name(addr)
-            for slot, g in enumerate(bank.groups[addr]):
-                yield f"{prefix}.bank.{aname}.slot{slot}", (s, j, slot), g
-
-    def untie(self, step: int) -> list:
-        """One one-step cell per depth j, holding value copies of the conv
-        weights and of the step-j BN groups, plus the pool the unroll
-        runs after depth ``pool_at(step)``."""
-        cell = self.cell
-        mods: list = []
-        for j in range(1, step + 1):
-            depth = RcCell(cell.body.copy_untied(), cell.bank.untie(step, j))
-            mods.append((f".depth{j}", RcCellModule(depth)))
-            if j == cell.pool_at(step):
-                mods.append((f".pool{j}", PoolModule("avgpool2d")))
-        return mods
-
-
-class PoolModule(Module):
-    """Parameter-free resampling by the named ``functional`` op: the 2x2
-    ``avgpool2d`` or the channel-quadrupling ``invpool``."""
-
-    def __init__(self, op: str):
-        self.op = op
-
-    def apply(self, x, step, training):
-        return getattr(F, self.op)(x)
-
-
 class TransitionModule(Module):
     """Non-recurrent pre-activation block between cell groups.
 
@@ -234,6 +192,16 @@ class Network:
             raise ValueError(f"step {step} outside [1, {self.max_step}]")
         return self._run(x, step, training, collect_cell, collect)
 
+    def check_serving_step(self, step: int) -> None:
+        """Raise ValueError unless ``step`` lies in [1, max_step] and, once
+        the network is trained, in its trained support."""
+        if not 1 <= step <= self.max_step:
+            raise ValueError(f"step {step} outside [1, {self.max_step}]")
+        support = self.trained_support
+        if support is not None and step not in support:
+            raise ValueError(
+                f"step {step} outside the trained support {sorted(support)}")
+
     def _run(self, x, step, training, collect_cell=None,
              collect=None) -> Tensor:
         dtype = self.spec.dtype
@@ -247,7 +215,7 @@ class Network:
         for name, mod in self.modules:
             if mod.recurrent:
                 cl = collect if collect_cell == name else None
-                h = unroll(mod.cell, h, step, training, collect=cl)
+                h = unroll(mod, h, step, training, collect=cl)
             else:
                 h = mod.apply(h, step, training)
         if denoise:
@@ -279,7 +247,7 @@ class Network:
         return out
 
     def cells(self) -> dict[str, RcCell]:
-        return {name: mod.cell for name, mod in self.modules if mod.recurrent}
+        return {name: mod for name, mod in self.modules if mod.recurrent}
 
 
 class ExpandedNetwork(Network):
@@ -316,10 +284,10 @@ def _bank(spec: NetworkSpec, channels: int, slots: int = 1,
 
 
 def _make_cell(spec: NetworkSpec, width: int, rng,
-               pool_after_half: bool) -> RcCellModule:
+               pool_after_half: bool) -> RcCell:
     body = CellBody.create(spec.cell_kind, width, rng, spec.dtype)
     bank = _bank(spec, width, body.bn_slots, unrolled=True)
-    return RcCellModule(RcCell(body, bank, pool_after_half))
+    return RcCell(body, bank, pool_after_half)
 
 
 def _build_r2(spec: NetworkSpec, rng) -> Network:

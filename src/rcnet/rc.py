@@ -1,5 +1,6 @@
 """Recurrent-convolution core: BN banks addressed by (unified step,
-unroll index), the unroll loop, and unified step sampling.
+unroll index), the recurrent cell stage, the unroll loop, and unified
+step sampling.
 
 One step is drawn per training iteration and applied to every recurrent
 cell; banks therefore only ever need the lower-triangular addresses
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functional as F
-from .layers import BnGroup, CellBody, run_cell_body
+from .layers import BnGroup, CellBody, Module, PoolModule, run_cell_body
 
 # Per mode, whether a BN layer's input statistics depend on the unified
 # step s and on the unroll index j; None = no normalization.
@@ -115,12 +116,15 @@ class BnBank:
 
 
 @dataclass
-class RcCell:
-    """A shared-weight cell body, its BN bank, and the pooling rule.
+class RcCell(Module):
+    """The recurrent pipeline stage, run by :func:`unroll`: a shared-weight
+    cell body, its BN bank, and the pooling rule.
 
     With ``pool_after_half`` set, a 2x2 average pool runs immediately
     after step ceil(s/2) of an s-step unroll.
     """
+
+    recurrent = True
 
     body: CellBody
     bank: BnBank
@@ -139,6 +143,30 @@ class RcCell:
             raise ValueError(
                 f"bank channels {self.bank.channels} != body channels "
                 f"{self.body.channels}")
+
+    def named_parameters(self, prefix):
+        for q, w in enumerate(self.body.convs):
+            yield f"{prefix}.conv{q}.weight", w
+        yield from self._bn_parameters(prefix)
+
+    def named_bn_groups(self, prefix):
+        bank = self.bank
+        for addr, (s, j) in enumerate(bank.address_labels()):
+            aname = bank.address_name(addr)
+            for slot, g in enumerate(bank.groups[addr]):
+                yield f"{prefix}.bank.{aname}.slot{slot}", (s, j, slot), g
+
+    def untie(self, step: int) -> list:
+        """One one-step cell per depth j, holding value copies of the conv
+        weights and of the step-j BN groups, plus the pool the unroll
+        runs after depth ``pool_at(step)``."""
+        mods: list = []
+        for j in range(1, step + 1):
+            depth = RcCell(self.body.copy_untied(), self.bank.untie(step, j))
+            mods.append((f".depth{j}", depth))
+            if j == self.pool_at(step):
+                mods.append((f".pool{j}", PoolModule("avgpool2d")))
+        return mods
 
 
 def unroll(cell: RcCell, x, steps: int, training: bool,

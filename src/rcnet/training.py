@@ -20,7 +20,7 @@ from . import functional as F
 from .autodiff import Tape, Tensor, backward
 from .data import DenoiseEvalSet, LabeledDataset, psnr
 from .errors import NumericalCheckError
-from .networks import DENOISE_SCALE, Network
+from .networks import DENOISE_SCALE, Network, NetworkSpec
 from .optim import SGD, clip_grad_norm, global_grad_norm
 from .rc import StepDistribution
 
@@ -75,6 +75,8 @@ class TrainConfig:
                 f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -215,6 +217,22 @@ def check_regime(regime: str, bn_mode: str, dist: StepDistribution,
                          f"max_step {max_step}")
 
 
+def check_batches(spec: NetworkSpec, train_set, batch_size: int) -> None:
+    """Raise ValueError if a training batch would give a BN layer fewer
+    values per channel than the 2 that train mode needs. The smallest
+    map is the training frame over ``spec.size_multiple``; the smallest
+    batch is the last one of an epoch."""
+    if spec.bn_mode == "none":
+        return
+    h, w = (side // spec.size_multiple for side in train_set.frame)
+    batch = len(train_set) % batch_size or batch_size
+    if batch * h * w < 2:
+        raise ValueError(
+            f"a training batch of {batch} image(s) leaves batch norm "
+            f"{batch * h * w} value(s) per channel on its {h}x{w} maps; "
+            f"train mode needs at least 2")
+
+
 def run_training(network: Network, train_set, test_set, cfg: TrainConfig,
                  regime: str, resume_state: dict | None = None) -> RunLog:
     """Train under ``regime`` (see :data:`REGIMES`), resuming at epoch
@@ -254,12 +272,9 @@ def train_aggregated(network: Network, train_set, test_set,
 # inference and metrics
 
 def infer(network: Network, x, step: int) -> np.ndarray:
-    """Eval-mode forward at ``step``; the step must be in the trained
-    support (any step up to max_step for untrained networks)."""
-    support = network.trained_support
-    if support is not None and step not in support:
-        raise ValueError(
-            f"step {step} outside the trained support {sorted(support)}")
+    """Eval-mode forward at ``step``, which must be one the network
+    serves (see :meth:`Network.check_serving_step`)."""
+    network.check_serving_step(step)
     out = network.forward(x, step, training=False)
     return out.data
 

@@ -51,8 +51,7 @@ def desk_data(seed=0, samples=2000, test_samples=500):
     train = make_synthetic_classification(
         3, samples, 16, np.random.SeedSequence([seed, 11]))
     test = make_synthetic_classification(
-        3, test_samples, 16, np.random.SeedSequence([seed, 12]),
-        split="test")
+        3, test_samples, 16, np.random.SeedSequence([seed, 12]))
     return train, test
 
 
@@ -107,7 +106,7 @@ def test_criterion_1_expansion_equivalence():
                 for cname, mod in trained.modules:
                     if not mod.recurrent:
                         continue
-                    for q, w in enumerate(mod.cell.body.convs):
+                    for q, w in enumerate(mod.body.convs):
                         summed = sum(
                             eparams[f"{cname}.depth{j}.conv{q}.weight"].grad
                             for j in range(1, s + 1))

@@ -72,6 +72,27 @@ sigma = 25
 dir = {out}
 """
 
+# at 8 px the last r2 cell and the head run on 1x1 maps, so a training
+# batch of one image gives their batch norm one value per channel
+TINY_R2 = """
+[network]
+arch = r2
+max_step = 2
+widths = 4,16
+image_size = 8
+
+[train]
+epochs = 1
+batch_size = 10
+
+[data]
+samples = 21
+test_samples = 10
+
+[output]
+dir = {out}
+"""
+
 
 def write_cfg(tmp_path, text, name="cfg.ini", **fmt):
     p = tmp_path / name
@@ -169,9 +190,9 @@ class TestTrainCommand:
         cfg = write_cfg(tmp_path, TOY_CLASSIFY, out=tmp_path / "run")
         assert run_cli(["train", "--config", cfg]) == 0
         out = tmp_path / "run"
-        for name in ("resolved.ini", "metrics.csv", "eval.csv", "last.ckpt",
-                     "best.ckpt"):
+        for name in ("resolved.ini", "metrics.csv", "eval.csv", "last.ckpt"):
             assert (out / name).exists()
+        assert not (out / "best.ckpt").exists()
         lines = (out / "metrics.csv").read_text().splitlines()
         assert lines[0] == GOLDEN.joinpath("metrics_header.csv") \
             .read_text().strip()
@@ -371,6 +392,41 @@ class TestBadInputExitCodes:
                         out=tmp_path / "run")
         assert run_cli(["train", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("text", [
+        TINY_R2,
+        TINY_R2.replace("batch_size = 10", "batch_size = 1"),
+        TOY_DENOISE.replace("batch_size = 4", "batch_size = 1")
+        .replace("sigma = 25", "sigma = 25\npatch_size = 1")],
+        ids=["r2-last-batch-of-one", "r2-batch_size-1", "r3-1px-crops"])
+    def test_batch_norm_batch_of_one_exit_code_2(self, tmp_path, text,
+                                                  capsys):
+        cfg = write_cfg(tmp_path, text, out=tmp_path / "run")
+        assert run_cli(["train", "--config", cfg]) == 2
+        assert "train mode needs at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "last.ckpt").exists()
+
+    @pytest.mark.parametrize("old,new", [
+        ("image_size = 8", "image_size = 16"),
+        ("max_step = 2", "max_step = 2\nbn_mode = none")],
+        ids=["16px", "no-bn"])
+    def test_batch_of_one_without_one_value_maps_trains(self, tmp_path, old,
+                                                        new):
+        cfg = write_cfg(tmp_path, TINY_R2.replace(old, new),
+                        out=tmp_path / "run")
+        assert run_cli(["train", "--config", cfg]) == 0
+        assert (tmp_path / "run" / "last.ckpt").stat().st_size > 0
+
+    @pytest.mark.parametrize("seed_line,flag", [
+        ("seed = -1", []), ("seed = 7", ["--seed", "-3"])],
+        ids=["config", "flag"])
+    def test_negative_seed_exit_code_2(self, tmp_path, seed_line, flag,
+                                       capsys):
+        cfg = write_cfg(tmp_path, TOY_CLASSIFY.replace("seed = 7", seed_line),
+                        out=tmp_path / "run")
+        assert run_cli(["train", "--config", cfg] + flag) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_double_precision_train_exit_code_2(self, tmp_path, capsys):

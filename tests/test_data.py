@@ -312,8 +312,8 @@ class TestCheckpoint:
         # every bank address appears
         for name, mod in net.modules:
             if mod.recurrent:
-                for addr in range(mod.cell.bank.n_addresses):
-                    label = mod.cell.bank.address_name(addr)
+                for addr in range(mod.bank.n_addresses):
+                    label = mod.bank.address_name(addr)
                     assert f"{name}.bank.{label}.slot0.gamma" in table
 
     def test_spec_guard_rejects_other_network(self, tmp_path):

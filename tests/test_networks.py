@@ -376,7 +376,7 @@ class TestExpansion:
             for cell_name, mod in net.modules:
                 if not mod.recurrent:
                     continue
-                for q, w in enumerate(mod.cell.body.convs):
+                for q, w in enumerate(mod.body.convs):
                     summed = sum(
                         eparams[f"{cell_name}.depth{j}.conv{q}.weight"].grad
                         for j in range(1, s + 1))

@@ -24,8 +24,7 @@ def toy_data():
     train = make_synthetic_classification(3, 120, 8,
                                           np.random.SeedSequence([9, 11]))
     test = make_synthetic_classification(3, 60, 8,
-                                         np.random.SeedSequence([9, 12]),
-                                         split="test")
+                                         np.random.SeedSequence([9, 12]))
     return train, test
 
 
@@ -84,6 +83,10 @@ class TestPolicies:
     def test_nan_setting_rejected(self, key):
         with pytest.raises(ValueError, match=f"{key} must be"):
             TrainConfig(**{key: float("nan")})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
 
     def test_support_exceeding_max_step_rejected(self, toy_data):
         net = build_seeded(small_r2_spec(max_step=2))
@@ -241,7 +244,7 @@ class TestInferenceAndMetrics:
                     labels=toy_data[1].labels[:0])
         net = build_seeded(small_r3_spec())
         with pytest.raises(ValueError, match="empty"):
-            evaluate_denoise(net, DenoiseEvalSet(pairs=[], sigma=25.0), 1)
+            evaluate_denoise(net, DenoiseEvalSet(pairs=[]), 1)
 
     def test_psnr_closed_form_mse_one(self):
         a = np.zeros((1, 4, 4))
@@ -285,7 +288,7 @@ class TestInferenceAndMetrics:
         assert evaluate_denoise(net, test, 2) == np.mean(want)
 
     def test_classification_eval_over_two_batches(self):
-        test = make_synthetic_classification(3, 260, 8, 13, split="test")
+        test = make_synthetic_classification(3, 260, 8, 13)
         net = build_seeded(small_r2_spec(max_step=2))
         wrong = 0
         for lo, hi in ((0, 250), (250, 260)):  # 250 images per forward
