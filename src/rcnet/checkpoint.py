@@ -174,7 +174,10 @@ def _install(network: Network, table: dict[str, np.ndarray], path) -> None:
 
 def _read_checkpoint(path) -> tuple[NetworkSpec, dict[str, np.ndarray], dict]:
     """(stored spec, tensor table, header) of a checkpoint file."""
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as e:
+        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
     header, offset = _read_header(data, path)
     try:
         spec = NetworkSpec.from_dict(header["spec"])

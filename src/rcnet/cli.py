@@ -1,37 +1,35 @@
 """Command-line interface.
 
 Commands: train, eval, infer, cost, expand-check, export-bn,
-export-features. Exit codes: 0 success, 2 config error, 3 data error,
-4 checkpoint error, 5 numerical-check failure.
-
-RCNET_THREADS caps kernel-internal (BLAS) parallelism; it must take
-effect before numpy is imported, so this module defers all heavy imports
-into the command handlers.
+export-features. Exit code 0 on success; an ``errors.RcnetError`` is
+printed under its class's ``label`` and exits with its ``exit_code``.
+``import rcnet`` has applied ``RCNET_THREADS`` before this module loads
+numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                   "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
-                   "NUMEXPR_NUM_THREADS")
+import numpy as np
 
-
-def _cap_threads(value: str) -> None:
-    for var in THREAD_ENV_VARS:
-        os.environ.setdefault(var, value)
+from .checkpoint import load_checkpoint, restore_into, save_checkpoint
+from .config import build_datasets, parse_config
+from .data import read_pgm, read_rct, write_pgm, write_rct
+from .errors import (CheckpointError, ConfigError, DataError,
+                     NumericalCheckError, RcnetError)
+from .networks import (bn_table, build_network, cost_report,
+                       expand_to_standard, step_cost)
+from .training import TASKS, RngStreams, check_batches, infer, run_training
 
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="rcnet",
         description="Recurrent-convolution networks with banked batch norm")
-    p.add_argument("--deterministic", action="store_true",
-                   help="cap kernel-internal parallelism to 1 thread")
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("train", help="train a network from a config file")
@@ -79,15 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    env_threads = os.environ.get("RCNET_THREADS")
-    if env_threads:
-        _cap_threads(env_threads)
     args = _build_parser().parse_args(argv)
-    if args.deterministic:
-        _cap_threads("1")
-
-    from .errors import (CheckpointError, ConfigError, DataError,
-                         NumericalCheckError)
     handlers = {
         "train": cmd_train, "eval": cmd_eval, "infer": cmd_infer,
         "cost": cmd_cost, "expand-check": cmd_expand_check,
@@ -95,18 +85,9 @@ def main(argv=None) -> int:
     }
     try:
         handlers[args.command](args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 3
-    except CheckpointError as e:
-        print(f"checkpoint error: {e}", file=sys.stderr)
-        return 4
-    except NumericalCheckError as e:
-        print(f"numerical check failed: {e}", file=sys.stderr)
-        return 5
+    except RcnetError as e:
+        print(f"{e.label}: {e}", file=sys.stderr)
+        return e.exit_code
     return 0
 
 
@@ -114,10 +95,6 @@ def main(argv=None) -> int:
 # handlers
 
 def _load_config(path, seed=None, out_dir=None):
-    from dataclasses import replace
-
-    from .config import parse_config
-    from .errors import ConfigError
     cfg = parse_config(path)
     if seed is not None:
         try:  # through TrainConfig's checks, as a config seed goes
@@ -130,17 +107,7 @@ def _load_config(path, seed=None, out_dir=None):
 
 
 def cmd_train(args) -> None:
-    from .checkpoint import restore_into, save_checkpoint
-    from .config import build_datasets
-    from .errors import ConfigError
-    from .networks import build_network
-    from .training import RngStreams, check_batches, run_training
-
     cfg = _load_config(args.config, args.seed, args.out_dir)
-    if cfg.network.precision != "float32":
-        raise ConfigError(
-            f"{args.config}: checkpoints store float32 tensors, so rcnet "
-            f"train needs precision = float32, got {cfg.network.precision}")
     out_dir = Path(cfg.output.dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved.ini").write_text(cfg.resolved_text())
@@ -159,7 +126,6 @@ def cmd_train(args) -> None:
     if args.resume:
         resume_state = restore_into(network, args.resume)
         if resume_state["rng"] is None:
-            from .errors import CheckpointError
             raise CheckpointError(
                 f"{args.resume}: no trainer state; cannot resume")
 
@@ -188,9 +154,6 @@ def cmd_train(args) -> None:
 
 def _load_network(path, step: int):
     """Load a checkpoint and check that it can run unified step ``step``."""
-    from .checkpoint import load_checkpoint
-    from .errors import ConfigError
-
     network, _ = load_checkpoint(path)
     try:
         network.check_serving_step(step)
@@ -202,9 +165,6 @@ def _load_network(path, step: int):
 def _load_input(path, spec):
     """Read a .pgm image or a [C,H,W]/[N,C,H,W] .rct tensor as a batch
     the network of ``spec`` can run."""
-    from .data import read_pgm, read_rct
-    from .errors import DataError
-
     in_path = Path(path)
     if in_path.suffix == ".pgm":
         x = read_pgm(in_path)[None, None, :, :]
@@ -230,10 +190,6 @@ def _load_input(path, spec):
 
 
 def cmd_eval(args) -> None:
-    from .config import build_datasets
-    from .errors import ConfigError
-    from .training import TASKS
-
     network = _load_network(args.checkpoint, args.step)
     cfg = _load_config(args.config)
     spec, asked = network.spec, cfg.network
@@ -262,12 +218,6 @@ def cmd_eval(args) -> None:
 
 
 def cmd_infer(args) -> None:
-    import numpy as np
-
-    from .data import write_pgm, write_rct
-    from .networks import step_cost
-    from .training import infer
-
     network = _load_network(args.checkpoint, args.step)
     x = _load_input(args.input, network.spec)
     out = infer(network, x, args.step)
@@ -286,9 +236,6 @@ def cmd_infer(args) -> None:
 
 
 def cmd_cost(args) -> None:
-    from .config import parse_config
-    from .networks import cost_report
-
     cfg = parse_config(args.config)
     spec = cfg.network
     rep = cost_report(spec)
@@ -316,11 +263,10 @@ def cmd_cost(args) -> None:
 
 
 def cmd_expand_check(args) -> None:
-    import numpy as np
-
-    from .errors import ConfigError, NumericalCheckError
-    from .networks import expand_to_standard
-
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if args.inputs < 1:
+        raise ConfigError(f"--inputs must be >= 1, got {args.inputs}")
     network = _load_network(args.checkpoint, args.step)
     try:
         expanded = expand_to_standard(network, args.step)
@@ -345,9 +291,6 @@ def cmd_expand_check(args) -> None:
 
 
 def cmd_export_bn(args) -> None:
-    from .checkpoint import load_checkpoint
-    from .networks import bn_table
-
     network, _ = load_checkpoint(args.checkpoint)
     rows = bn_table(network)
     with open(args.out, "w") as f:
@@ -359,9 +302,6 @@ def cmd_export_bn(args) -> None:
 
 
 def cmd_export_features(args) -> None:
-    from .data import write_rct
-    from .errors import ConfigError
-
     network = _load_network(args.checkpoint, args.step)
     if args.cell not in network.cells():
         raise ConfigError(

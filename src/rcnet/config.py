@@ -64,7 +64,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "image_channels": (_parse_int, "3"),
         "image_size": (_parse_int, "16"),
         "num_classes": (_parse_int, "3"),
-        "precision": (_parse_str, "float32"),
         "bn_eps": (_parse_float, "1e-5"),
         "bn_momentum": (_parse_float, "0.1"),
     },
@@ -240,8 +239,7 @@ def _assemble(v: dict, path) -> ExperimentConfig:
             max_step=net["max_step"], widths=net["widths"],
             image_shape=(channels, net["image_size"], net["image_size"]),
             num_classes=net["num_classes"] if task == "classify" else None,
-            precision=net["precision"], bn_eps=net["bn_eps"],
-            bn_momentum=net["bn_momentum"])
+            bn_eps=net["bn_eps"], bn_momentum=net["bn_momentum"])
     except ValueError as e:
         raise ConfigError(f"{path}: invalid [network] section: {e}") from e
     kinds = [kind for kind, t in DATA_KINDS.items() if t == task]

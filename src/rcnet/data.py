@@ -180,9 +180,11 @@ def make_synthetic_classification(num_classes: int, samples: int,
     cycles = 3.0
     pattern = amps[:, None, None] * np.sin(
         2.0 * np.pi * cycles * proj / image_size + phases[:, None, None])
-    imgs = 0.5 + pattern[:, None, :, :] \
-        + noise * rng.standard_normal((samples, channels, image_size, image_size))
-    imgs = np.clip(imgs, 0.0, 1.0).astype(np.float32)
+    # in place, so one float64 array of the full set is alive, not four
+    imgs = rng.standard_normal((samples, channels, image_size, image_size))
+    imgs *= noise
+    imgs += 0.5 + pattern[:, None, :, :]
+    imgs = np.clip(imgs, 0.0, 1.0, out=imgs).astype(np.float32)
     return LabeledDataset(imgs, labels, num_classes=num_classes)
 
 
@@ -247,7 +249,10 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
 
 def read_pgm(path) -> np.ndarray:
     """Read an 8-bit binary PGM into a float32 [H,W] array (0..255)."""
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as e:
+        raise DataError(f"cannot read image {path}: {e}") from e
     if not data.startswith(b"P5"):
         raise DataError(f"{path}: not a binary (P5) PGM file")
     fields: list[int] = []
@@ -322,7 +327,10 @@ def write_rct(path, array: np.ndarray) -> None:
 
 
 def read_rct(path) -> np.ndarray:
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as e:
+        raise DataError(f"cannot read tensor {path}: {e}") from e
     if data[:4] != RCT_MAGIC:
         raise DataError(f"{path}: not a raw tensor (RCT0) file")
     if len(data) < 8:

@@ -1,21 +1,29 @@
-"""Exception types mapped to CLI exit codes."""
+"""Exception types. Each error class carries the CLI's exit code for it
+and the label its message is printed under (``<label>: <message>``)."""
 
 
 class RcnetError(Exception):
-    """Base class for errors raised by this package."""
+    """Base class for errors raised by this package; only its subclasses
+    are raised."""
+    exit_code: int
+    label: str
 
 
 class ConfigError(RcnetError):
-    """Invalid experiment configuration (exit code 2)."""
+    """Invalid experiment configuration or command-line value."""
+    exit_code, label = 2, "config error"
 
 
 class DataError(RcnetError):
-    """Invalid or unreadable dataset/image input (exit code 3)."""
+    """Invalid or unreadable dataset/image input."""
+    exit_code, label = 3, "data error"
 
 
 class CheckpointError(RcnetError):
-    """Invalid or mismatched checkpoint file (exit code 4)."""
+    """Invalid, mismatched or unreadable checkpoint file."""
+    exit_code, label = 4, "checkpoint error"
 
 
 class NumericalCheckError(RcnetError):
-    """A numerical equivalence check failed (exit code 5)."""
+    """A numerical check failed."""
+    exit_code, label = 5, "numerical check failed"

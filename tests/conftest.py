@@ -1,14 +1,14 @@
 """Shared test helpers: finite-difference gradient checking, tiny
 network/dataset factories and a file-mutation strategy for fuzzing."""
 
+import os
 import struct
 from pathlib import Path
 
-from rcnet.cli import _cap_threads
-
-# The suite runs on one BLAS thread, as `RCNET_THREADS=1` runs do. The cap
-# only takes effect before numpy loads, and ``rcnet.cli`` imports no numpy.
-_cap_threads("1")
+# The suite runs on one BLAS thread, as `RCNET_THREADS=1` runs do.
+# `import rcnet` applies the cap, which only takes effect before numpy loads.
+os.environ.setdefault("RCNET_THREADS", "1")
+import rcnet  # noqa: E402,F401
 import numpy as np  # noqa: E402
 import pytest
 from hypothesis import strategies as st

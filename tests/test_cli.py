@@ -434,7 +434,8 @@ class TestBadInputExitCodes:
             "num_classes = 3", "num_classes = 3\nprecision = float64"),
             out=tmp_path / "run")
         assert run_cli(["train", "--config", cfg]) == 2
-        assert "needs precision = float32" in capsys.readouterr().err
+        assert "unknown key 'precision' in section [network]" in \
+            capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_config_that_is_not_text_exit_code_2(self, tmp_path, capsys):
@@ -486,6 +487,51 @@ class TestBadInputExitCodes:
                         "--step", step] + extra)
         assert code == 2
         assert "outside [1, 3]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--seed", "-1"], "--seed must be >= 0"),
+        (["--inputs", "0"], "--inputs must be >= 1"),
+        (["--inputs", "-2"], "--inputs must be >= 1")],
+        ids=["seed-neg", "inputs-0", "inputs-neg"])
+    def test_expand_check_bad_argument_exit_code_2(self, trained, flags,
+                                                   message, capsys):
+        tmp, _ = trained
+        code = run_cli(["expand-check", "--checkpoint",
+                        tmp / "run" / "last.ckpt", "--step", "3"] + flags)
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what,code", [
+        ("eval-missing-checkpoint", 4), ("eval-checkpoint-is-dir", 4),
+        ("resume-missing-checkpoint", 4), ("infer-missing-pgm", 3),
+        ("export-features-missing-rct", 3)])
+    def test_missing_file_exit_code(self, trained, tmp_path, what, code,
+                                    capsys):
+        tmp, cfg = trained
+        ckpt = tmp / "run" / "last.ckpt"
+        args = {
+            "eval-missing-checkpoint": [
+                "eval", "--checkpoint", tmp_path / "nope.ckpt", "--config",
+                cfg, "--step", "3", "--out-dir", tmp_path / "ev"],
+            "eval-checkpoint-is-dir": [
+                "eval", "--checkpoint", tmp_path, "--config", cfg,
+                "--step", "3", "--out-dir", tmp_path / "ev"],
+            "resume-missing-checkpoint": [
+                "train", "--config", cfg, "--out-dir", tmp_path / "resumed",
+                "--resume", tmp_path / "nope.ckpt"],
+            "infer-missing-pgm": [
+                "infer", "--checkpoint", ckpt, "--input",
+                tmp_path / "nope.pgm", "--step", "3", "--output",
+                tmp_path / "y.rct"],
+            "export-features-missing-rct": [
+                "export-features", "--checkpoint", ckpt, "--input",
+                tmp_path / "nope.rct", "--cell", "cell1", "--step", "3",
+                "--out-dir", tmp_path / "feat"],
+        }[what]
+        assert run_cli(args) == code
+        assert "cannot read" in capsys.readouterr().err
+        for out in ("ev", "y.rct", "feat"):
+            assert not (tmp_path / out).exists()
 
     def test_step_outside_trained_support_exit_code_2(self, trained,
                                                       capsys):
@@ -733,6 +779,27 @@ dir = {tmp_path / "brun"}
 """)
         assert run_cli(["train", "--config", cfg]) == 0
         assert (tmp_path / "brun" / "last.ckpt").exists()
+
+
+class TestThreadCap:
+    BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+    @pytest.mark.parametrize("preset,expected", [
+        ({}, "3,3,3,3,3"), ({"OPENBLAS_NUM_THREADS": "2"}, "3,2,3,3,3")],
+        ids=["unset", "openblas-preset"])
+    def test_import_applies_rcnet_threads(self, preset, expected):
+        import rcnet
+        env = {k: v for k, v in os.environ.items()
+               if k not in self.BLAS_VARS}
+        src = str(Path(rcnet.__file__).parents[1])
+        env.update(preset, RCNET_THREADS="3", PYTHONPATH=src)
+        code = ("import os, rcnet; print(','.join(os.environ.get(v, '-') "
+                f"for v in {self.BLAS_VARS!r}))")
+        r = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == expected
 
 
 class TestSubprocessDeterminism:
