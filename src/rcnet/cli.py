@@ -96,11 +96,8 @@ def main(argv=None) -> int:
 
 def _load_config(path, seed=None, out_dir=None):
     cfg = parse_config(path)
-    if seed is not None:
-        try:  # through TrainConfig's checks, as a config seed goes
-            cfg.train = replace(cfg.train, seed=seed)
-        except ValueError as e:
-            raise ConfigError(f"--seed: {e}") from e
+    if seed is not None:  # through TrainConfig's checks, as a config seed
+        cfg.train = replace(cfg.train, seed=seed)
     if out_dir is not None:
         cfg.output.dir = str(out_dir)
     return cfg
@@ -115,10 +112,7 @@ def cmd_train(args) -> None:
     network = build_network(cfg.network,
                             rng=RngStreams(cfg.train.seed).init)
     train_set, test_set = build_datasets(cfg)
-    try:
-        check_batches(cfg.network, train_set, cfg.train.batch_size)
-    except ValueError as e:
-        raise ConfigError(f"{args.config}: {e}") from e
+    check_batches(cfg.network, train_set, cfg.train.batch_size)
     # dataset sizes are taken as given (file lists are not second-guessed)
     print(f"data: train={len(train_set)} test={len(test_set)}")
 
@@ -155,10 +149,7 @@ def cmd_train(args) -> None:
 def _load_network(path, step: int):
     """Load a checkpoint and check that it can run unified step ``step``."""
     network, _ = load_checkpoint(path)
-    try:
-        network.check_serving_step(step)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    network.check_serving_step(step)
     return network
 
 
@@ -179,6 +170,8 @@ def _load_input(path, spec):
                         f"got shape {x.shape}")
     if 0 in x.shape:
         raise DataError(f"{in_path}: empty input of shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise DataError(f"{in_path}: input holds non-finite values")
     _, c, h, w = x.shape
     if c != spec.image_shape[0]:
         raise DataError(f"{in_path}: {c} channels, the network expects "
@@ -268,10 +261,7 @@ def cmd_expand_check(args) -> None:
     if args.inputs < 1:
         raise ConfigError(f"--inputs must be >= 1, got {args.inputs}")
     network = _load_network(args.checkpoint, args.step)
-    try:
-        expanded = expand_to_standard(network, args.step)
-    except ValueError as e:  # a shared or BN-free network has no expansion
-        raise ConfigError(str(e)) from e
+    expanded = expand_to_standard(network, args.step)
     c, h, w = network.spec.image_shape
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((args.inputs, c, h, w)).astype(network.spec.dtype)

@@ -2,6 +2,10 @@
 format (INI dialect, no interpolation). Unknown sections or keys are
 rejected so typos never pass silently; every key has a default except
 dataset paths.
+
+A key whose text does not parse is reported here; a parsed value out of
+range is rejected by the dataclass or check that takes it, which raises
+``ConfigError`` itself. ``parse_config`` only prefixes the config path.
 """
 
 from __future__ import annotations
@@ -110,6 +114,20 @@ class DataConfig:
     test_count: int
     patch_size: int
 
+    def __post_init__(self):
+        # checked for every kind; ``not > 0`` fails a NaN sigma too
+        if self.kind in ("cifar10", "pgm_folder") and not self.path:
+            raise ConfigError(
+                f"[data] path is required for kind '{self.kind}'")
+        for key in ("samples", "test_samples", "count", "test_count",
+                    "patch_size"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"[data] {key} must be >= 1, got "
+                                  f"{getattr(self, key)}")
+        if not self.sigma > 0:
+            raise ConfigError(f"[data] sigma must be positive, got "
+                              f"{self.sigma}")
+
 
 @dataclass
 class OutputConfig:
@@ -194,19 +212,16 @@ def parse_config(path) -> ExperimentConfig:
             except ValueError as e:
                 raise ConfigError(
                     f"{path}: bad value for [{section}] {key}: {e}") from e
-    return _assemble(values, path)
+    try:
+        return _assemble(values)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
-def _assemble(v: dict, path) -> ExperimentConfig:
-    net, tr, da, out = v["network"], v["train"], v["data"], v["output"]
-
+def _assemble(v: dict) -> ExperimentConfig:
+    net, tr = v["network"], v["train"]
+    data_cfg = DataConfig(**v["data"])
     regime = tr["regime"]
-    if da["kind"] in ("cifar10", "pgm_folder") and not da["path"]:
-        raise ConfigError(f"{path}: [data] path is required for kind "
-                          f"'{da['kind']}'")
-    if da["patch_size"] < 1:
-        raise ConfigError(f"{path}: [data] patch_size must be >= 1, got "
-                          f"{da['patch_size']}")
 
     support = tr["step_support"]
     probs = tr["step_probs"]
@@ -219,53 +234,33 @@ def _assemble(v: dict, path) -> ExperimentConfig:
                 probs = _parse_float_list(CA_DEFAULT_PROBS)
     if probs is None:
         probs = tuple(1.0 / len(support) for _ in support)
-    try:
-        dist = StepDistribution(tuple(support), tuple(probs))
-    except ValueError as e:
-        raise ConfigError(f"{path}: bad step distribution: {e}") from e
-
-    try:
-        check_regime(regime, net["bn_mode"], dist, net["max_step"])
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
+    dist = StepDistribution(tuple(support), tuple(probs))
+    check_regime(regime, net["bn_mode"], dist, net["max_step"])
 
     arch = net["arch"]
     task = TASK_BY_ARCH.get(arch)  # an unknown arch fails in NetworkSpec
     # a denoiser is grayscale; luminance conversion happens upstream
     channels = 1 if task == "denoise" else net["image_channels"]
-    try:
-        spec = NetworkSpec(
-            arch=arch, task=task, bn_mode=net["bn_mode"],
-            max_step=net["max_step"], widths=net["widths"],
-            image_shape=(channels, net["image_size"], net["image_size"]),
-            num_classes=net["num_classes"] if task == "classify" else None,
-            bn_eps=net["bn_eps"], bn_momentum=net["bn_momentum"])
-    except ValueError as e:
-        raise ConfigError(f"{path}: invalid [network] section: {e}") from e
+    spec = NetworkSpec(
+        arch=arch, task=task, bn_mode=net["bn_mode"],
+        max_step=net["max_step"], widths=net["widths"],
+        image_shape=(channels, net["image_size"], net["image_size"]),
+        num_classes=net["num_classes"] if task == "classify" else None,
+        bn_eps=net["bn_eps"], bn_momentum=net["bn_momentum"])
     kinds = [kind for kind, t in DATA_KINDS.items() if t == task]
-    if da["kind"] not in kinds:
-        raise ConfigError(f"{path}: data kind '{da['kind']}' cannot train "
+    if data_cfg.kind not in kinds:
+        raise ConfigError(f"data kind '{data_cfg.kind}' cannot train "
                           f"arch '{arch}' (expected one of {kinds})")
 
-    try:
-        tcfg = TrainConfig(
-            lr=tr["lr"], momentum=tr["momentum"],
-            weight_decay=tr["weight_decay"],
-            shared_lr_scale=tr["shared_lr_scale"],
-            clip_max_norm=tr["clip_max_norm"], epochs=tr["epochs"],
-            batch_size=tr["batch_size"], step_distribution=dist,
-            seed=tr["seed"], eval_each_epoch=tr["eval_each_epoch"])
-    except ValueError as e:
-        raise ConfigError(f"{path}: invalid [train] section: {e}") from e
-
-    data_cfg = DataConfig(
-        kind=da["kind"], path=da["path"], samples=da["samples"],
-        test_samples=da["test_samples"], pattern_noise=da["pattern_noise"],
-        sigma=da["sigma"], count=da["count"], test_count=da["test_count"],
-        patch_size=da["patch_size"])
-    out_cfg = OutputConfig(dir=out["dir"])
+    tcfg = TrainConfig(
+        lr=tr["lr"], momentum=tr["momentum"],
+        weight_decay=tr["weight_decay"],
+        shared_lr_scale=tr["shared_lr_scale"],
+        clip_max_norm=tr["clip_max_norm"], epochs=tr["epochs"],
+        batch_size=tr["batch_size"], step_distribution=dist,
+        seed=tr["seed"], eval_each_epoch=tr["eval_each_epoch"])
     return ExperimentConfig(network=spec, train=tcfg, regime=regime,
-                            data=data_cfg, output=out_cfg)
+                            data=data_cfg, output=OutputConfig(**v["output"]))
 
 
 def build_datasets(cfg: ExperimentConfig):

@@ -9,8 +9,10 @@ class RcnetError(Exception):
     label: str
 
 
-class ConfigError(RcnetError):
-    """Invalid experiment configuration or command-line value."""
+class ConfigError(RcnetError, ValueError):
+    """Invalid experiment configuration or command-line value. Each
+    settings validator raises it itself, so a bad setting exits 2 wherever
+    it is checked; it is a ``ValueError`` for library callers."""
     exit_code, label = 2, "config error"
 
 

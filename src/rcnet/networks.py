@@ -25,6 +25,7 @@ import numpy as np
 
 from . import functional as F
 from .autodiff import Parameter, Tape, Tensor
+from .errors import ConfigError
 from .layers import (BnGroup, CellBody, ClassifierHead, ConvLayer, Module,
                      PoolModule, bn, he_conv)
 from .rc import BN_MODES, BnBank, RcCell, unroll
@@ -57,43 +58,43 @@ class NetworkSpec:
         object.__setattr__(self, "image_shape",
                            tuple(int(v) for v in self.image_shape))
         if self.arch not in ARCHS:
-            raise ValueError(f"unknown arch '{self.arch}'")
+            raise ConfigError(f"unknown arch '{self.arch}'")
         if self.bn_mode not in BN_MODES:
-            raise ValueError(f"unknown bn_mode '{self.bn_mode}'")
+            raise ConfigError(f"unknown bn_mode '{self.bn_mode}'")
         if self.max_step < 1:
-            raise ValueError(f"max_step must be >= 1, got {self.max_step}")
+            raise ConfigError(f"max_step must be >= 1, got {self.max_step}")
         if any(w < 1 for w in self.widths):
-            raise ValueError(f"widths must be >= 1, got {self.widths}")
+            raise ConfigError(f"widths must be >= 1, got {self.widths}")
         if not self.bn_eps >= 0:
-            raise ValueError(f"bn_eps must be >= 0, got {self.bn_eps}")
+            raise ConfigError(f"bn_eps must be >= 0, got {self.bn_eps}")
         if not 0.0 <= self.bn_momentum <= 1.0:
-            raise ValueError(
+            raise ConfigError(
                 f"bn_momentum must be in [0, 1], got {self.bn_momentum}")
         if self.precision not in ("float32", "float64"):
-            raise ValueError(f"precision must be float32/float64, got "
+            raise ConfigError(f"precision must be float32/float64, got "
                              f"'{self.precision}'")
         if self.task != TASK_BY_ARCH[self.arch]:
-            raise ValueError(f"arch '{self.arch}' implies task "
+            raise ConfigError(f"arch '{self.arch}' implies task "
                              f"'{TASK_BY_ARCH[self.arch]}', got '{self.task}'")
         if self.arch == "r2":
             if len(self.widths) != 2 or self.widths[1] != 4 * self.widths[0]:
-                raise ValueError(
+                raise ConfigError(
                     f"r2 needs widths (w, 4w) because invpool quadruples "
                     f"channels; got {self.widths}")
         elif self.arch == "r3":
             if len(self.widths) != 3 or len(set(self.widths)) != 1:
-                raise ValueError(f"r3 needs three equal widths, got {self.widths}")
+                raise ConfigError(f"r3 needs three equal widths, got {self.widths}")
         else:
             if len(self.widths) != 4:
-                raise ValueError(f"r4 needs four widths, got {self.widths}")
+                raise ConfigError(f"r4 needs four widths, got {self.widths}")
         if self.task == "classify":
             if not self.num_classes or self.num_classes < 2:
-                raise ValueError("classification needs num_classes >= 2")
+                raise ConfigError("classification needs num_classes >= 2")
         if len(self.image_shape) != 3 or any(v < 1 for v in self.image_shape):
-            raise ValueError(f"bad image_shape {self.image_shape}")
+            raise ConfigError(f"bad image_shape {self.image_shape}")
         _, h, w = self.image_shape
         if h % self.size_multiple or w % self.size_multiple:
-            raise ValueError(
+            raise ConfigError(
                 f"arch '{self.arch}' halves H and W three times, so the image "
                 f"size must be a multiple of {self.size_multiple}; got {h}x{w}")
 
@@ -193,13 +194,13 @@ class Network:
         return self._run(x, step, training, collect_cell, collect)
 
     def check_serving_step(self, step: int) -> None:
-        """Raise ValueError unless ``step`` lies in [1, max_step] and, once
+        """Raise ConfigError unless ``step`` lies in [1, max_step] and, once
         the network is trained, in its trained support."""
         if not 1 <= step <= self.max_step:
-            raise ValueError(f"step {step} outside [1, {self.max_step}]")
+            raise ConfigError(f"step {step} outside [1, {self.max_step}]")
         support = self.trained_support
         if support is not None and step not in support:
-            raise ValueError(
+            raise ConfigError(
                 f"step {step} outside the trained support {sorted(support)}")
 
     def _run(self, x, step, training, collect_cell=None,
@@ -350,11 +351,11 @@ def expand_to_standard(network: Network, step: int) -> ExpandedNetwork:
     """
     spec = network.spec
     if spec.bn_mode not in ("independent", "double_independent"):
-        raise ValueError(
+        raise ConfigError(
             f"expansion requires per-step BN groups; bn_mode "
             f"'{spec.bn_mode}' cannot be expanded")
     if not 1 <= step <= spec.max_step:
-        raise ValueError(f"step {step} outside [1, {spec.max_step}]")
+        raise ConfigError(f"step {step} outside [1, {spec.max_step}]")
     return ExpandedNetwork(spec, [(name + suffix, m)
                                   for name, mod in network.modules
                                   for suffix, m in mod.untie(step)])

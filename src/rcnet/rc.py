@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functional as F
+from .errors import ConfigError
 from .layers import BnGroup, CellBody, Module, PoolModule, run_cell_body
 
 # Per mode, whether a BN layer's input statistics depend on the unified
@@ -202,21 +203,21 @@ class StepDistribution:
         object.__setattr__(self, "support", tuple(int(s) for s in self.support))
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
         if not self.support:
-            raise ValueError("step distribution needs a non-empty support")
+            raise ConfigError("step distribution needs a non-empty support")
         if len(self.support) != len(self.probs):
-            raise ValueError(
+            raise ConfigError(
                 f"support/probs length mismatch: {len(self.support)} vs "
                 f"{len(self.probs)}")
         if list(self.support) != sorted(set(self.support)):
-            raise ValueError(f"support must be sorted distinct ints, got "
+            raise ConfigError(f"support must be sorted distinct ints, got "
                              f"{self.support}")
         if self.support[0] < 1:
-            raise ValueError(f"steps must be >= 1, got {self.support}")
+            raise ConfigError(f"steps must be >= 1, got {self.support}")
         # stated so that NaN probabilities fail
         if not all(p > 0 for p in self.probs):
-            raise ValueError(f"probabilities must be positive, got {self.probs}")
+            raise ConfigError(f"probabilities must be positive, got {self.probs}")
         if not abs(sum(self.probs) - 1.0) <= 1e-9:
-            raise ValueError(
+            raise ConfigError(
                 f"probabilities sum to {sum(self.probs)!r}, not 1")
 
     @staticmethod

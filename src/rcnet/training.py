@@ -19,7 +19,7 @@ import numpy as np
 from . import functional as F
 from .autodiff import Tape, Tensor, backward
 from .data import DenoiseEvalSet, LabeledDataset, psnr
-from .errors import NumericalCheckError
+from .errors import ConfigError, NumericalCheckError
 from .networks import DENOISE_SCALE, Network, NetworkSpec
 from .optim import SGD, clip_grad_norm, global_grad_norm
 from .rc import StepDistribution
@@ -61,22 +61,22 @@ class TrainConfig:
     def __post_init__(self):
         # each check is stated so that a NaN fails it
         if not self.lr >= 0:
-            raise ValueError(f"lr must be >= 0 (0 = dry run), got {self.lr}")
+            raise ConfigError(f"lr must be >= 0 (0 = dry run), got {self.lr}")
         if not 0.0 < self.shared_lr_scale <= 1.0:
-            raise ValueError(
+            raise ConfigError(
                 f"shared_lr_scale must be in (0, 1], got {self.shared_lr_scale}")
         if not self.clip_max_norm > 0:
-            raise ValueError(
+            raise ConfigError(
                 f"clip_max_norm must be positive, got {self.clip_max_norm}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if not self.weight_decay >= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+            raise ConfigError("epochs and batch_size must be >= 1")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -200,25 +200,25 @@ REGIMES = ("fixed", "cost_adjustable", "aggregated")
 
 def check_regime(regime: str, bn_mode: str, dist: StepDistribution,
                  max_step: int) -> None:
-    """Raise ValueError unless ``regime`` can train a ``bn_mode`` network
+    """Raise ConfigError unless ``regime`` can train a ``bn_mode`` network
     unrolled up to ``max_step`` with steps drawn from ``dist``."""
     if regime not in REGIMES:
-        raise ValueError(f"unknown regime '{regime}' (expected one of "
+        raise ConfigError(f"unknown regime '{regime}' (expected one of "
                          f"{REGIMES})")
     if regime == "fixed" and not dist.is_singleton:
-        raise ValueError(
+        raise ConfigError(
             f"regime 'fixed' needs a singleton step distribution, got "
             f"support {list(dist.support)}")
     if regime != "fixed" and bn_mode != "double_independent":
-        raise ValueError(f"regime '{regime}' requires bn_mode "
+        raise ConfigError(f"regime '{regime}' requires bn_mode "
                          f"'double_independent', got '{bn_mode}'")
     if dist.support[-1] > max_step:
-        raise ValueError(f"step support {list(dist.support)} exceeds "
+        raise ConfigError(f"step support {list(dist.support)} exceeds "
                          f"max_step {max_step}")
 
 
 def check_batches(spec: NetworkSpec, train_set, batch_size: int) -> None:
-    """Raise ValueError if a training batch would give a BN layer fewer
+    """Raise ConfigError if a training batch would give a BN layer fewer
     values per channel than the 2 that train mode needs. The smallest
     map is the training frame over ``spec.size_multiple``; the smallest
     batch is the last one of an epoch."""
@@ -227,7 +227,7 @@ def check_batches(spec: NetworkSpec, train_set, batch_size: int) -> None:
     h, w = (side // spec.size_multiple for side in train_set.frame)
     batch = len(train_set) % batch_size or batch_size
     if batch * h * w < 2:
-        raise ValueError(
+        raise ConfigError(
             f"a training batch of {batch} image(s) leaves batch norm "
             f"{batch * h * w} value(s) per channel on its {h}x{w} maps; "
             f"train mode needs at least 2")

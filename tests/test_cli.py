@@ -3,18 +3,24 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from conftest import build_seeded, mutations, poison_checkpoint, small_r3_spec
+from conftest import (build_seeded, mutations, poison_checkpoint,
+                      small_r2_spec, small_r3_spec)
 from rcnet.cli import main
-from rcnet.config import parse_config
-from rcnet.data import (make_synthetic_textures, read_pgm, read_rct,
+from rcnet.config import DataConfig, parse_config
+from rcnet.data import (make_synthetic_classification,
+                        make_synthetic_textures, read_pgm, read_rct,
                         write_pgm, write_rct)
 from rcnet.errors import ConfigError, RcnetError
+from rcnet.networks import expand_to_standard
+from rcnet.rc import StepDistribution
+from rcnet.training import TrainConfig, check_batches, check_regime
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -104,6 +110,22 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def edit_stored_spec(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to the
+    network spec dict in its header."""
+    import json
+    import struct
+
+    from rcnet.checkpoint import _read_header
+    raw = Path(src).read_bytes()
+    header, offset = _read_header(raw, str(src))
+    edit(header["spec"])
+    hbytes = json.dumps(header, sort_keys=True,
+                        separators=(",", ":")).encode("utf-8")
+    Path(dst).write_bytes(raw[:12] + struct.pack("<Q", len(hbytes)) + hbytes
+                          + raw[offset:])
+
+
 def readme_config_text():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     return readme.split("```ini\n", 1)[1].split("```", 1)[0]
@@ -183,6 +205,53 @@ class TestConfigParsing:
         p.write_text("[train]\nregime = cost_adjustable\nstep_support = 2,3\n")
         with pytest.raises(ConfigError, match="double_independent"):
             parse_config(p)
+
+
+def _data_config(**changes):
+    fields = dict(kind="synthetic_denoise", path=None, samples=10,
+                  test_samples=5, pattern_noise=0.1, sigma=25.0, count=4,
+                  test_count=2, patch_size=8)
+    return DataConfig(**{**fields, **changes})
+
+
+def _batch_of_one():
+    # r2 at 8 px runs its last cell on 1x1 maps; 21 % 10 leaves one image
+    spec = small_r2_spec(widths=(4, 16))
+    train_set = make_synthetic_classification(3, 21, 8,
+                                              np.random.SeedSequence(0))
+    check_batches(spec, train_set, 10)
+
+
+def _expand(bn_mode, step):
+    expand_to_standard(build_seeded(small_r2_spec(bn_mode=bn_mode)), step)
+
+
+class TestValidatorsRaiseConfigError:
+    """Each settings validator raises the ConfigError (exit 2) itself, and
+    it is still a ValueError for library callers."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: replace(small_r2_spec(), bn_mode="bogus"),
+        lambda: TrainConfig(momentum=1.5),
+        lambda: StepDistribution((2, 1), (0.5, 0.5)),
+        lambda: _data_config(sigma=0.0),
+        lambda: _data_config(sigma=float("nan")),
+        lambda: _data_config(count=0),
+        lambda: check_regime("bogus", "independent",
+                             StepDistribution.fixed(1), 3),
+        _batch_of_one,
+        lambda: build_seeded(small_r2_spec()).check_serving_step(0),
+        lambda: _expand("shared", 2),
+        lambda: _expand("independent", 4)],
+        ids=["NetworkSpec", "TrainConfig", "StepDistribution",
+             "DataConfig-sigma", "DataConfig-sigma-nan", "DataConfig-count",
+             "check_regime", "check_batches", "check_serving_step",
+             "expand-bn_mode", "expand-step"])
+    def test_raises_config_error(self, call):
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert isinstance(info.value, ValueError)
+        assert info.value.exit_code == 2
 
 
 class TestTrainCommand:
@@ -381,11 +450,22 @@ class TestBadInputExitCodes:
         (TOY_CLASSIFY, "num_classes = 3", "num_classes = 3\nbn_momentum = 5",
          "bn_momentum must be in [0, 1]"),
         (TOY_CLASSIFY, "num_classes = 3", "num_classes = 3\nbn_eps = -1",
-         "bn_eps must be >= 0")],
+         "bn_eps must be >= 0"),
+        (TOY_DENOISE, "sigma = 25", "sigma = 0", "sigma must be positive"),
+        (TOY_DENOISE, "sigma = 25", "sigma = -5", "sigma must be positive"),
+        (TOY_DENOISE, "count = 8", "count = 0", "count must be >= 1"),
+        (TOY_DENOISE, "test_count = 2", "test_count = 0",
+         "test_count must be >= 1"),
+        (TOY_CLASSIFY, "samples = 100", "samples = 0",
+         "samples must be >= 1"),
+        (TOY_CLASSIFY, "test_samples = 50", "test_samples = 0",
+         "test_samples must be >= 1")],
         ids=["patch_size-0", "patch_size-neg", "widths-0", "momentum-1.5",
              "weight_decay-neg", "lr-nan", "clip_max_norm-nan",
              "step_probs-nan", "weight_decay-nan", "bn_eps-nan",
-             "bn_momentum-nan", "bn_momentum-5", "bn_eps-neg"])
+             "bn_momentum-nan", "bn_momentum-5", "bn_eps-neg", "sigma-0",
+             "sigma-neg", "count-0", "test_count-0", "samples-0",
+             "test_samples-0"])
     def test_out_of_range_value_exit_code_2(self, tmp_path, text, old, new,
                                             message, capsys):
         cfg = write_cfg(tmp_path, text.replace(old, new),
@@ -465,6 +545,24 @@ class TestBadInputExitCodes:
                         tmp_path / name, "--step", "2"] + extra)
         assert code == 3
         assert "empty input" in capsys.readouterr().err
+        assert not (tmp_path / "y.rct").exists()
+        assert not (tmp_path / "feat").exists()
+
+    @pytest.mark.parametrize("command", ["infer", "export-features"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_input_exit_code_3(self, trained, tmp_path, command,
+                                          value, capsys):
+        tmp, _ = trained
+        x = np.zeros((3, 8, 8), np.float32)
+        x[1, 2, 3] = value
+        write_rct(tmp_path / "x.rct", x)
+        extra = (["--output", tmp_path / "y.rct"] if command == "infer"
+                 else ["--cell", "cell1", "--out-dir", tmp_path / "feat"])
+        code = run_cli([command, "--checkpoint", tmp / "run" / "last.ckpt",
+                        "--input", tmp_path / "x.rct", "--step", "3"]
+                       + extra)
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "y.rct").exists()
         assert not (tmp_path / "feat").exists()
 
@@ -557,24 +655,34 @@ class TestBadInputExitCodes:
         assert "data error" in capsys.readouterr().err
 
     def test_spec_without_arch_exit_code_4(self, trained, tmp_path):
-        import json
-        import struct
-
-        from rcnet.checkpoint import _read_header
         tmp, cfg = trained
-        raw = (tmp / "run" / "last.ckpt").read_bytes()
-        header, offset = _read_header(raw, "last.ckpt")
-        del header["spec"]["arch"]
-        hbytes = json.dumps(header, sort_keys=True,
-                            separators=(",", ":")).encode("utf-8")
         bad = tmp_path / "noarch.ckpt"
-        bad.write_bytes(raw[:12] + struct.pack("<Q", len(hbytes)) + hbytes
-                        + raw[offset:])
+        edit_stored_spec(tmp / "run" / "last.ckpt", bad,
+                         lambda spec: spec.pop("arch"))
         assert run_cli(["train", "--config", cfg, "--out-dir",
                         tmp_path / "resumed", "--resume", bad]) == 4
         assert run_cli(["infer", "--checkpoint", bad, "--input",
                         tmp_path / "x.rct", "--step", "3",
                         "--output", tmp_path / "y.rct"]) == 4
+
+    @pytest.mark.parametrize("key,value", [("arch", "r9"),
+                                           ("max_step", 0)])
+    def test_spec_with_invalid_value_exit_code_4(self, trained, tmp_path,
+                                                 key, value, capsys):
+        # the spec's ConfigError is a ValueError: the checkpoint reader must
+        # still report it as a bad checkpoint, not as a bad setting
+        tmp, cfg = trained
+        bad = tmp_path / "bad.ckpt"
+        edit_stored_spec(tmp / "run" / "last.ckpt", bad,
+                         lambda spec: spec.update({key: value}))
+        assert run_cli(["train", "--config", cfg, "--out-dir",
+                        tmp_path / "resumed", "--resume", bad]) == 4
+        assert run_cli(["infer", "--checkpoint", bad, "--input",
+                        tmp_path / "x.rct", "--step", "3",
+                        "--output", tmp_path / "y.rct"]) == 4
+        err = capsys.readouterr().err
+        assert err.count("checkpoint error:") == 2
+        assert err.count("invalid network spec in header") == 2
 
     def test_non_finite_checkpoint_exit_code_4(self, trained, tmp_path,
                                                capsys):
