@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -94,21 +93,9 @@ def main(argv=None) -> int:
 # ---------------------------------------------------------------------------
 # handlers
 
-def _load_config(path, seed=None, out_dir=None):
-    cfg = parse_config(path)
-    if seed is not None:  # through TrainConfig's checks, as a config seed
-        cfg.train = replace(cfg.train, seed=seed)
-    if out_dir is not None:
-        cfg.output.dir = str(out_dir)
-    return cfg
-
-
 def cmd_train(args) -> None:
-    cfg = _load_config(args.config, args.seed, args.out_dir)
-    out_dir = Path(cfg.output.dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved.ini").write_text(cfg.resolved_text())
-
+    """Train; a run refused before its first iteration writes nothing."""
+    cfg = parse_config(args.config, seed=args.seed, out_dir=args.out_dir)
     network = build_network(cfg.network,
                             rng=RngStreams(cfg.train.seed).init)
     train_set, test_set = build_datasets(cfg)
@@ -123,6 +110,9 @@ def cmd_train(args) -> None:
             raise CheckpointError(
                 f"{args.resume}: no trainer state; cannot resume")
 
+    out_dir = Path(cfg.output.dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "resolved.ini").write_text(cfg.resolved_text())
     log = run_training(network, train_set, test_set, cfg.train, cfg.regime,
                        resume_state=resume_state)
 
@@ -184,7 +174,7 @@ def _load_input(path, spec):
 
 def cmd_eval(args) -> None:
     network = _load_network(args.checkpoint, args.step)
-    cfg = _load_config(args.config)
+    cfg = parse_config(args.config)
     spec, asked = network.spec, cfg.network
     if asked.task != spec.task:
         raise ConfigError(f"{args.config} is a {asked.task} config, "

@@ -6,6 +6,11 @@ dataset paths.
 A key whose text does not parse is reported here; a parsed value out of
 range is rejected by the dataclass or check that takes it, which raises
 ``ConfigError`` itself. ``parse_config`` only prefixes the config path.
+
+The parsed section -> key -> value table is the one description of a run:
+CLI overrides replace their keys in it, the values derived from other
+keys are written into it, the run's objects are built from it, and
+``resolved.ini`` prints it.
 """
 
 from __future__ import annotations
@@ -141,26 +146,16 @@ class ExperimentConfig:
     regime: str
     data: DataConfig
     output: OutputConfig
+    values: dict[str, dict]  # the table the objects above were built from
 
     def resolved_text(self) -> str:
-        """Full key=value dump (defaults expanded) in SCHEMA order;
-        feeding this back in reproduces the run."""
-        spec, tc = self.network, self.train
-        values = {
-            "network": {**vars(spec), "image_channels": spec.image_shape[0],
-                        "image_size": spec.image_shape[1],
-                        "num_classes": spec.num_classes or 0},
-            "train": {**vars(tc), "regime": self.regime,
-                      "step_support": tc.step_distribution.support,
-                      "step_probs": tc.step_distribution.probs},
-            "data": vars(self.data),
-            "output": vars(self.output),
-        }
+        """``values`` as key = value lines in SCHEMA order, every default
+        and derived value filled in; feeding this back reproduces the run."""
         lines = []
         for section, keys in SCHEMA.items():
             lines.append(f"[{section}]")
             for key in keys:
-                v = values[section][key]
+                v = self.values[section][key]
                 if v is None:
                     continue
                 if isinstance(v, bool):
@@ -189,7 +184,11 @@ def _read_sections(path) -> dict[str, dict[str, str]]:
     return {s: dict(cp.items(s)) for s in cp.sections()}
 
 
-def parse_config(path) -> ExperimentConfig:
+def parse_config(path, seed: int | None = None,
+                 out_dir=None) -> ExperimentConfig:
+    """Parse the config at ``path``; ``seed`` and ``out_dir``, when given,
+    replace the parsed ``[train] seed`` and ``[output] dir`` and are
+    checked as those keys are."""
     raw = _read_sections(path)
     for section in raw:
         if section not in SCHEMA:
@@ -212,6 +211,10 @@ def parse_config(path) -> ExperimentConfig:
             except ValueError as e:
                 raise ConfigError(
                     f"{path}: bad value for [{section}] {key}: {e}") from e
+    if seed is not None:
+        values["train"]["seed"] = seed
+    if out_dir is not None:
+        values["output"]["dir"] = str(out_dir)
     try:
         return _assemble(values)
     except ConfigError as e:
@@ -219,32 +222,36 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def _assemble(v: dict) -> ExperimentConfig:
+    """Build the run's objects from the parsed table ``v``, writing each
+    value derived from other keys back into it."""
     net, tr = v["network"], v["train"]
     data_cfg = DataConfig(**v["data"])
     regime = tr["regime"]
 
-    support = tr["step_support"]
-    probs = tr["step_probs"]
-    if support is None:
+    if tr["step_support"] is None:
         if regime == "fixed":
-            support = (net["max_step"],)
+            tr["step_support"] = (net["max_step"],)
         else:
-            support = _parse_int_list(CA_DEFAULT_SUPPORT)
-            if probs is None:
-                probs = _parse_float_list(CA_DEFAULT_PROBS)
-    if probs is None:
-        probs = tuple(1.0 / len(support) for _ in support)
-    dist = StepDistribution(tuple(support), tuple(probs))
+            tr["step_support"] = _parse_int_list(CA_DEFAULT_SUPPORT)
+            if tr["step_probs"] is None:
+                tr["step_probs"] = _parse_float_list(CA_DEFAULT_PROBS)
+    if tr["step_probs"] is None:
+        tr["step_probs"] = tuple(1.0 / len(tr["step_support"])
+                                 for _ in tr["step_support"])
+    dist = StepDistribution(tr["step_support"], tr["step_probs"])
     check_regime(regime, net["bn_mode"], dist, net["max_step"])
 
     arch = net["arch"]
     task = TASK_BY_ARCH.get(arch)  # an unknown arch fails in NetworkSpec
-    # a denoiser is grayscale; luminance conversion happens upstream
-    channels = 1 if task == "denoise" else net["image_channels"]
+    if task == "denoise":
+        # a denoiser is grayscale (luminance conversion happens upstream)
+        # and has no classes
+        net["image_channels"], net["num_classes"] = 1, 0
     spec = NetworkSpec(
         arch=arch, task=task, bn_mode=net["bn_mode"],
         max_step=net["max_step"], widths=net["widths"],
-        image_shape=(channels, net["image_size"], net["image_size"]),
+        image_shape=(net["image_channels"], net["image_size"],
+                     net["image_size"]),
         num_classes=net["num_classes"] if task == "classify" else None,
         bn_eps=net["bn_eps"], bn_momentum=net["bn_momentum"])
     kinds = [kind for kind, t in DATA_KINDS.items() if t == task]
@@ -252,15 +259,12 @@ def _assemble(v: dict) -> ExperimentConfig:
         raise ConfigError(f"data kind '{data_cfg.kind}' cannot train "
                           f"arch '{arch}' (expected one of {kinds})")
 
-    tcfg = TrainConfig(
-        lr=tr["lr"], momentum=tr["momentum"],
-        weight_decay=tr["weight_decay"],
-        shared_lr_scale=tr["shared_lr_scale"],
-        clip_max_norm=tr["clip_max_norm"], epochs=tr["epochs"],
-        batch_size=tr["batch_size"], step_distribution=dist,
-        seed=tr["seed"], eval_each_epoch=tr["eval_each_epoch"])
+    tcfg = TrainConfig(step_distribution=dist, **{
+        key: x for key, x in tr.items()
+        if key not in ("regime", "step_support", "step_probs")})
     return ExperimentConfig(network=spec, train=tcfg, regime=regime,
-                            data=data_cfg, output=OutputConfig(**v["output"]))
+                            data=data_cfg, output=OutputConfig(**v["output"]),
+                            values=v)
 
 
 def build_datasets(cfg: ExperimentConfig):

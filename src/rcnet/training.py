@@ -1,12 +1,13 @@
-"""Training loops (fixed-step, cost-adjustable, aggregated-loss),
-inference, and evaluation metrics.
+"""Training (fixed-step, cost-adjustable, aggregated-loss), inference,
+and evaluation metrics.
 
-All regimes share one loop. Randomness is split into independent named
-streams (init/data/step/noise), so a cost-adjustable run with a singleton
-step distribution consumes data and noise randomness exactly like the
-fixed-step regime and produces a bit-identical trajectory. What a task
-(classify or denoise) trains on, minimizes and reports is its entry in
-:data:`TASKS`; the loop and the evaluators do not branch on it.
+All regimes share one loop, :func:`run_training`. Randomness is split
+into independent named streams (init/data/step/noise), so a
+cost-adjustable run with a singleton step distribution consumes data and
+noise randomness exactly like the fixed-step regime and produces a
+bit-identical trajectory. What a task (classify or denoise) trains on,
+minimizes and reports is its entry in :data:`TASKS`; the loop and the
+evaluators do not branch on it.
 """
 
 from __future__ import annotations
@@ -130,9 +131,15 @@ def _zero_grads(params) -> None:
         p.grad[...] = 0.0
 
 
-def _train(network: Network, train_set, test_set, cfg: TrainConfig,
-           aggregated: bool, resume_state: dict | None = None) -> RunLog:
+def run_training(network: Network, train_set, test_set, cfg: TrainConfig,
+                 regime: str, resume_state: dict | None = None) -> RunLog:
+    """Train under ``regime`` (see :data:`REGIMES`), resuming at epoch
+    granularity from ``resume_state`` when given. ``aggregated`` forwards
+    at every support step and optimizes the probability-weighted loss sum
+    in one update; the other two forward at one step drawn per iteration."""
     dist = cfg.step_distribution
+    check_regime(regime, network.spec.bn_mode, dist, network.max_step)
+    aggregated = regime == "aggregated"
     task = TASKS[network.spec.task]
 
     rngs = RngStreams(cfg.seed)
@@ -233,24 +240,6 @@ def check_batches(spec: NetworkSpec, train_set, batch_size: int) -> None:
             f"train mode needs at least 2")
 
 
-def run_training(network: Network, train_set, test_set, cfg: TrainConfig,
-                 regime: str, resume_state: dict | None = None) -> RunLog:
-    """Train under ``regime`` (see :data:`REGIMES`), resuming at epoch
-    granularity from ``resume_state`` when given."""
-    check_regime(regime, network.spec.bn_mode, cfg.step_distribution,
-                 network.max_step)
-    return _train(network, train_set, test_set, cfg,
-                  aggregated=regime == "aggregated",
-                  resume_state=resume_state)
-
-
-def train_fixed(network: Network, train_set, test_set,
-                cfg: TrainConfig) -> RunLog:
-    """Fixed-step regime: the degenerate singleton-distribution case of
-    the shared loop, so it collapses bit-identically."""
-    return run_training(network, train_set, test_set, cfg, "fixed")
-
-
 def train_cost_adjustable(network: Network, train_set, test_set,
                           cfg: TrainConfig,
                           resume_state: dict | None = None) -> RunLog:
@@ -258,14 +247,6 @@ def train_cost_adjustable(network: Network, train_set, test_set,
     step touches see forward passes or running-stat updates."""
     return run_training(network, train_set, test_set, cfg, "cost_adjustable",
                         resume_state)
-
-
-def train_aggregated(network: Network, train_set, test_set,
-                     cfg: TrainConfig) -> RunLog:
-    """Optional mode: every iteration forwards at every support step and
-    optimizes the probability-weighted loss sum in a single update.
-    Iteration cost grows with the support size."""
-    return run_training(network, train_set, test_set, cfg, "aggregated")
 
 
 # ---------------------------------------------------------------------------

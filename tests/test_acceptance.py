@@ -29,7 +29,7 @@ from rcnet.networks import NetworkSpec, cost_report, expand_to_standard
 from rcnet.rc import BnBank, StepDistribution
 from rcnet.training import (TrainConfig, evaluate_classification,
                             evaluate_denoise, noisy_input_psnr,
-                            train_cost_adjustable, train_fixed)
+                            run_training, train_cost_adjustable)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -320,7 +320,7 @@ def test_criterion_5_bn_mode_comparison():
         for seed in (0, 1, 2):
             net = build_seeded(desk_r2(mode, 3), seed=seed)
             cfg = desk_cfg(StepDistribution.fixed(3), seed=seed)
-            train_fixed(net, train, test, cfg)
+            run_training(net, train, test, cfg, "fixed")
             errs.append(evaluate_classification(net, test, 3))
             train_errs.append(evaluate_classification(net, train, 3))
         results[mode] = (float(np.mean(errs)), train_errs)
@@ -354,8 +354,8 @@ def test_criterion_6_cost_adjustable_vs_fixed(tmp_path):
     gaps = {}
     for s in (2, 3, 4):
         net = build_seeded(desk_r2("independent", s), seed=s)
-        train_fixed(net, train, test,
-                    desk_cfg(StepDistribution.fixed(s), seed=s))
+        run_training(net, train, test,
+                     desk_cfg(StepDistribution.fixed(s), seed=s), "fixed")
         gaps[s] = abs(evaluate_classification(net, test, s) - ca_err[s])
     elapsed = time.time() - t0
     ok = all(g <= 0.05 for g in gaps.values()) and elapsed < 900
@@ -386,7 +386,7 @@ def test_criterion_7_denoise_desk_scale():
     cfg = TrainConfig(lr=0.02, momentum=0.9, epochs=40, batch_size=8, seed=0,
                       step_distribution=StepDistribution.fixed(2),
                       eval_each_epoch=False)
-    train_fixed(net, train, test, cfg)
+    run_training(net, train, test, cfg, "fixed")
     psnr_out = evaluate_denoise(net, test, 2)
     elapsed = time.time() - t0
     ok = (zero_psnr == base) and (psnr_out - base >= 3.0) and elapsed < 600
@@ -481,7 +481,7 @@ def test_criterion_9_regime_collapse():
                       seed=3, step_distribution=StepDistribution.fixed(2),
                       eval_each_epoch=False)
     net_f = build_seeded(spec, seed=3)
-    log_f = train_fixed(net_f, train, None, cfg)
+    log_f = run_training(net_f, train, None, cfg, "fixed")
     net_c = build_seeded(spec, seed=3)
     log_c = train_cost_adjustable(net_c, train, None, cfg)
     assert len(log_f.iterations) == 200

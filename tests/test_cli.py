@@ -207,6 +207,67 @@ class TestConfigParsing:
             parse_config(p)
 
 
+# configs whose resolved.ini text is pinned in tests/golden/resolved_<name>.ini
+RESOLVED_CASES = {
+    "default": "",
+    "r3_denoise": """
+[network]
+arch = r3
+widths = 8,8,8
+image_size = 24
+image_channels = 3  ; a denoiser is grayscale, so this resolves to 1
+num_classes = 5     ; and this to 0
+[train]
+lr = 0.02
+batch_size = 4
+[data]
+kind = synthetic_denoise
+count = 6
+patch_size = 16
+""",
+    "r4_cost_adjustable": """
+[network]
+arch = r4
+bn_mode = double_independent
+max_step = 4
+widths = 4,8,16,32
+[train]
+regime = cost_adjustable
+step_support = 1,2,3
+""",
+    "aggregated": """
+[network]
+bn_mode = double_independent
+max_step = 4
+bn_eps = 1e-3
+[train]
+regime = aggregated
+eval_each_epoch = false
+[data]
+kind = cifar10
+path = cifar-10-batches-py
+""",
+}
+
+
+class TestResolvedConfigGolden:
+    @pytest.mark.parametrize("name", sorted(RESOLVED_CASES))
+    def test_resolved_text_matches_golden(self, tmp_path, name):
+        cfg = parse_config(write_cfg(tmp_path, RESOLVED_CASES[name]))
+        assert cfg.resolved_text() == \
+            GOLDEN.joinpath(f"resolved_{name}.ini").read_text()
+
+    def test_flags_replace_their_keys(self, tmp_path):
+        cfg = write_cfg(tmp_path, TOY_DENOISE, out=tmp_path / "config_dir")
+        out = tmp_path / "flag_dir"
+        assert run_cli(["train", "--config", cfg, "--seed", "7",
+                        "--out-dir", out]) == 0
+        text = (out / "resolved.ini").read_text().replace(str(out),
+                                                          "<out-dir>")
+        assert text == GOLDEN.joinpath("resolved_flags.ini").read_text()
+        assert not (tmp_path / "config_dir").exists()
+
+
 def _data_config(**changes):
     fields = dict(kind="synthetic_denoise", path=None, samples=10,
                   test_samples=5, pattern_noise=0.1, sigma=25.0, count=4,
@@ -485,7 +546,18 @@ class TestBadInputExitCodes:
         cfg = write_cfg(tmp_path, text, out=tmp_path / "run")
         assert run_cli(["train", "--config", cfg]) == 2
         assert "train mode needs at least 2" in capsys.readouterr().err
-        assert not (tmp_path / "run" / "last.ckpt").exists()
+        assert not (tmp_path / "run").exists()
+
+    def test_textures_the_generator_refuses_exit_code_3(self, tmp_path,
+                                                        capsys):
+        # the size is a [network] key and the kind a [data] one, so the
+        # generator, not DataConfig, refuses it; the run writes nothing
+        cfg = write_cfg(tmp_path, TOY_DENOISE.replace("image_size = 16",
+                                                      "image_size = 4"),
+                        out=tmp_path / "run")
+        assert run_cli(["train", "--config", cfg]) == 3
+        assert "size >= 8" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("old,new", [
         ("image_size = 8", "image_size = 16"),
@@ -508,6 +580,16 @@ class TestBadInputExitCodes:
         assert run_cli(["train", "--config", cfg] + flag) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_seed_flag_replaces_negative_config_seed(self, tmp_path):
+        # --seed replaces the config's seed before it is checked, so a
+        # config seed the run never uses is not rejected
+        cfg = write_cfg(tmp_path, TOY_CLASSIFY.replace("seed = 7",
+                                                       "seed = -1"),
+                        out=tmp_path / "run")
+        assert run_cli(["train", "--config", cfg, "--seed", "7"]) == 0
+        assert "\nseed = 7\n" in \
+            (tmp_path / "run" / "resolved.ini").read_text()
 
     def test_double_precision_train_exit_code_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TOY_CLASSIFY.replace(
@@ -628,7 +710,7 @@ class TestBadInputExitCodes:
         }[what]
         assert run_cli(args) == code
         assert "cannot read" in capsys.readouterr().err
-        for out in ("ev", "y.rct", "feat"):
+        for out in ("ev", "resumed", "y.rct", "feat"):
             assert not (tmp_path / out).exists()
 
     def test_step_outside_trained_support_exit_code_2(self, trained,

@@ -118,7 +118,7 @@ class TestSyntheticClassification:
         from rcnet.networks import NetworkSpec, cost_report
         from rcnet.rc import StepDistribution
         from rcnet.training import (TrainConfig, evaluate_classification,
-                                    train_fixed)
+                                    run_training)
         ds = make_synthetic_classification(3, 600, 16, 11)
         assert linear_probe_error(ds) > 0.10
         spec = NetworkSpec(arch="r2", task="classify",
@@ -130,7 +130,7 @@ class TestSyntheticClassification:
         cfg = TrainConfig(lr=0.05, momentum=0.9, epochs=3, batch_size=50,
                           seed=0, step_distribution=StepDistribution.fixed(1),
                           eval_each_epoch=False)
-        train_fixed(net, ds, None, cfg)
+        run_training(net, ds, None, cfg, "fixed")
         assert evaluate_classification(net, ds, 1) <= 0.10
 
 

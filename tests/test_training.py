@@ -2,6 +2,7 @@
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -15,8 +16,7 @@ from rcnet.errors import NumericalCheckError
 from rcnet.rc import StepDistribution
 from rcnet.training import (TrainConfig, evaluate_classification,
                             evaluate_denoise, infer, noisy_input_psnr,
-                            run_training, train_aggregated,
-                            train_cost_adjustable, train_fixed)
+                            run_training, train_cost_adjustable)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ class TestPolicies:
     def test_zero_lr_leaves_parameters_unchanged(self, toy_data):
         net = build_seeded(small_r2_spec(max_step=2))
         before = {k: p.data.copy() for k, p in net.named_parameters().items()}
-        train_fixed(net, *toy_data, toy_cfg(lr=0.0))
+        run_training(net, *toy_data, toy_cfg(lr=0.0), "fixed")
         for k, p in net.named_parameters().items():
             npt.assert_array_equal(p.data, before[k])
 
@@ -55,14 +55,15 @@ class TestPolicies:
             before = net.named_parameters()["cell1.conv0.weight"].data.copy()
             cfg = toy_cfg(momentum=0.0, epochs=1, batch_size=120,
                           shared_lr_scale=scale)
-            train_fixed(net, *toy_data, cfg)
+            run_training(net, *toy_data, cfg, "fixed")
             after = net.named_parameters()["cell1.conv0.weight"].data
             runs[scale] = after - before
         npt.assert_allclose(runs[0.5], 0.5 * runs[1.0], rtol=1e-9, atol=1e-15)
 
     def test_grad_norm_records_bounded_by_clip(self, toy_data):
         net = build_seeded(small_r2_spec(max_step=2))
-        log = train_fixed(net, *toy_data, toy_cfg(clip_max_norm=1.0, epochs=2))
+        log = run_training(net, *toy_data,
+                           toy_cfg(clip_max_norm=1.0, epochs=2), "fixed")
         assert log.iterations
         for rec in log.iterations:
             assert rec.grad_norm_post <= 1.0 + 1e-6
@@ -75,7 +76,7 @@ class TestPolicies:
         before = {k: p.data.copy() for k, p in params.items()}
         with pytest.raises(NumericalCheckError,
                            match="diverged at iteration 1, step 2"):
-            train_fixed(net, *toy_data, toy_cfg())
+            run_training(net, *toy_data, toy_cfg(), "fixed")
         for k, p in params.items():
             npt.assert_array_equal(p.data, before[k])
 
@@ -92,13 +93,13 @@ class TestPolicies:
         net = build_seeded(small_r2_spec(max_step=2))
         cfg = toy_cfg(step_distribution=StepDistribution.fixed(3))
         with pytest.raises(ValueError, match="exceeds"):
-            train_fixed(net, *toy_data, cfg)
+            run_training(net, *toy_data, cfg, "fixed")
 
     def test_fixed_requires_singleton(self, toy_data):
         net = build_seeded(small_r2_spec(max_step=2))
         cfg = toy_cfg(step_distribution=StepDistribution((1, 2), (0.5, 0.5)))
         with pytest.raises(ValueError, match="singleton"):
-            train_fixed(net, *toy_data, cfg)
+            run_training(net, *toy_data, cfg, "fixed")
 
     def test_cost_adjustable_requires_double_independent(self, toy_data):
         net = build_seeded(small_r2_spec(bn_mode="independent", max_step=2))
@@ -113,7 +114,7 @@ class TestRegimes:
         net_f = build_seeded(spec, seed=11)
         net_c = build_seeded(spec, seed=11)
         cfg = toy_cfg(epochs=2)
-        log_f = train_fixed(net_f, *toy_data, cfg)
+        log_f = run_training(net_f, *toy_data, cfg, "fixed")
         log_c = train_cost_adjustable(net_c, *toy_data, cfg)
         assert param_checksums(net_f) == param_checksums(net_c)
         assert [(r.loss, r.step) for r in log_f.iterations] == \
@@ -132,8 +133,8 @@ class TestRegimes:
         net_a = build_seeded(spec, seed=2)
         net_f = build_seeded(spec, seed=2)
         cfg = toy_cfg()
-        train_aggregated(net_a, *toy_data, cfg)
-        train_fixed(net_f, *toy_data, cfg)
+        run_training(net_a, *toy_data, cfg, "aggregated")
+        run_training(net_f, *toy_data, cfg, "fixed")
         assert param_checksums(net_a) == param_checksums(net_f)
 
     def test_aggregated_loss_is_weighted_sum(self, toy_data):
@@ -145,7 +146,7 @@ class TestRegimes:
                       batch_size=120)
         net = build_seeded(spec, seed=6)
         ref = build_seeded(spec, seed=6)
-        log = train_aggregated(net, *toy_data, cfg)
+        log = run_training(net, *toy_data, cfg, "aggregated")
         assert log.iterations[0].step == -1
 
         from rcnet import functional as F
@@ -181,7 +182,7 @@ class TestRegimes:
                 best = min(best, time.perf_counter() - t0)
             return best
 
-        t_agg = timed(train_aggregated)
+        t_agg = timed(partial(run_training, regime="aggregated"))
         t_ca = timed(train_cost_adjustable)
         assert t_agg >= len(dist.support) * t_ca
 
@@ -195,7 +196,7 @@ class TestInferenceAndMetrics:
     def test_infer_outside_support_lists_support(self, toy_data):
         net = build_seeded(small_r2_spec(max_step=3))
         cfg = toy_cfg(step_distribution=StepDistribution.fixed(3))
-        train_fixed(net, *toy_data, cfg)
+        run_training(net, *toy_data, cfg, "fixed")
         with pytest.raises(ValueError, match=r"\[3\]"):
             infer(net, toy_data[1].images[:2], 2)
 
@@ -299,8 +300,8 @@ class TestInferenceAndMetrics:
 
     def test_eval_epoch_records(self, toy_data):
         net = build_seeded(small_r2_spec(max_step=2))
-        log = train_fixed(net, *toy_data, toy_cfg(eval_each_epoch=True,
-                                                  epochs=2))
+        log = run_training(net, *toy_data,
+                           toy_cfg(eval_each_epoch=True, epochs=2), "fixed")
         assert [rec.epoch for rec in log.epochs] == [1, 2]
         assert set(log.epochs[0].metrics) == {2}
 
@@ -309,7 +310,7 @@ class TestInferenceAndMetrics:
             3, 64, 8, np.random.SeedSequence([5, 11]))
         net = build_seeded(small_r2_spec(max_step=2, widths=(16, 64)))
         cfg = toy_cfg(epochs=10, batch_size=16, lr=0.05)
-        log = train_fixed(net, data, None, cfg)
+        log = run_training(net, data, None, cfg, "fixed")
         assert min(r.loss for r in log.iterations) < 0.05
 
     def test_denoise_patch_training_crops_per_epoch(self):
@@ -319,8 +320,8 @@ class TestInferenceAndMetrics:
         train = DenoiseSet(clean=clean, sigma=25.0, patch_size=40)
         net = build_seeded(small_r3_spec(image=40))
         cfg = toy_cfg(epochs=2, batch_size=3, lr=0.01)
-        log1 = train_fixed(net, train, None, cfg)
+        log1 = run_training(net, train, None, cfg, "fixed")
         net2 = build_seeded(small_r3_spec(image=40))
-        log2 = train_fixed(net2, train, None, cfg)
+        log2 = run_training(net2, train, None, cfg, "fixed")
         assert [r.loss for r in log1.iterations] == \
             [r.loss for r in log2.iterations]
