@@ -26,6 +26,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -59,12 +60,10 @@ def save_checkpoint(path, network: Network,
         raise CheckpointError(
             "checkpoints store float32 tensors; a "
             f"{network.spec.precision} network cannot be checkpointed")
-    state = dict(_EMPTY_TRAINER_STATE)
-    if trainer_state:
-        state.update(trainer_state)
+    state = {**_EMPTY_TRAINER_STATE, **(trainer_state or {})}
     header = {
         "format_version": FORMAT_VERSION,
-        "spec": network.spec.to_dict(),
+        "spec": asdict(network.spec),
         "iteration": int(state["iteration"]),
         "epoch": int(state["epoch"]),
         "trained_support": network.trained_support,
@@ -172,47 +171,25 @@ def _install(network: Network, table: dict[str, np.ndarray], path) -> None:
         dst[...] = src
 
 
-def _read_checkpoint(path) -> tuple[NetworkSpec, dict[str, np.ndarray], dict]:
-    """(stored spec, tensor table, header) of a checkpoint file."""
+def load_checkpoint(path) -> tuple[Network, dict]:
+    """Rebuild the stored network; returns (network, trainer_state)."""
     try:
         data = Path(path).read_bytes()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
     header, offset = _read_header(data, path)
     try:
-        spec = NetworkSpec.from_dict(header["spec"])
+        spec = NetworkSpec(**header["spec"])
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: invalid network spec in header ({e})") \
             from e
     table = _read_tensors(data, offset, path)
+    del data  # the table holds copies; free the file before the build
     bad = _first_non_finite(table)
     if bad is not None:
         raise CheckpointError(f"{path}: tensor '{bad}' has non-finite values")
-    return spec, table, header
-
-
-def _restore(network: Network, table: dict[str, np.ndarray], header: dict,
-             path) -> dict:
+    network = build_network(spec, seed=0)
     _install(network, table, path)
     network.trained_support = header.get("trained_support")
-    return {"iteration": header.get("iteration", 0),
-            "epoch": header.get("epoch", 0),
-            "rng": header.get("rng")}
-
-
-def load_checkpoint(path) -> tuple[Network, dict]:
-    """Rebuild the stored network; returns (network, trainer_state)."""
-    spec, table, header = _read_checkpoint(path)
-    network = build_network(spec, seed=0)
-    return network, _restore(network, table, header, path)
-
-
-def restore_into(network: Network, path) -> dict:
-    """Load a checkpoint into an existing network; the stored spec must
-    match the network's spec exactly."""
-    stored, table, header = _read_checkpoint(path)
-    if stored != network.spec:
-        raise CheckpointError(
-            f"{path}: checkpoint was written for a different network spec "
-            f"({stored.to_dict()} != {network.spec.to_dict()})")
-    return _restore(network, table, header, path)
+    return network, {k: header.get(k, v)
+                     for k, v in _EMPTY_TRAINER_STATE.items()}

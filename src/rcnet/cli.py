@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, restore_into, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import build_datasets, parse_config
 from .data import read_pgm, read_rct, write_pgm, write_rct
 from .errors import (CheckpointError, ConfigError, DataError,
@@ -84,10 +85,15 @@ def main(argv=None) -> int:
     }
     try:
         handlers[args.command](args)
+    except OSError as e:
+        # every reader maps its own OSError, so this one is a failed write
+        error: RcnetError = ConfigError(f"cannot write output: {e}")
     except RcnetError as e:
-        print(f"{e.label}: {e}", file=sys.stderr)
-        return e.exit_code
-    return 0
+        error = e
+    else:
+        return 0
+    print(f"{error.label}: {error}", file=sys.stderr)
+    return error.exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -96,19 +102,32 @@ def main(argv=None) -> int:
 def cmd_train(args) -> None:
     """Train; a run refused before its first iteration writes nothing."""
     cfg = parse_config(args.config, seed=args.seed, out_dir=args.out_dir)
-    network = build_network(cfg.network,
-                            rng=RngStreams(cfg.train.seed).init)
-    train_set, test_set = build_datasets(cfg)
-    check_batches(cfg.network, train_set, cfg.train.batch_size)
-    # dataset sizes are taken as given (file lists are not second-guessed)
-    print(f"data: train={len(train_set)} test={len(test_set)}")
-
     resume_state = None
     if args.resume:
-        resume_state = restore_into(network, args.resume)
+        network, resume_state = load_checkpoint(args.resume)
+        if network.spec != cfg.network:
+            raise CheckpointError(
+                f"{args.resume}: checkpoint was written for a different "
+                f"network spec ({asdict(network.spec)} != "
+                f"{asdict(cfg.network)})")
         if resume_state["rng"] is None:
             raise CheckpointError(
                 f"{args.resume}: no trainer state; cannot resume")
+        if resume_state["epoch"] >= cfg.train.epochs:
+            raise ConfigError(
+                f"{args.config}: epochs = {cfg.train.epochs}, but "
+                f"{args.resume} is already at epoch {resume_state['epoch']}; "
+                f"nothing left to train")
+    else:
+        network = build_network(cfg.network,
+                                rng=RngStreams(cfg.train.seed).init)
+    train_set, test_set = build_datasets(cfg)
+    try:
+        check_batches(cfg.network, train_set, cfg.train.batch_size)
+    except ConfigError as e:
+        raise ConfigError(f"{args.config}: {e}") from e
+    # dataset sizes are taken as given (file lists are not second-guessed)
+    print(f"data: train={len(train_set)} test={len(test_set)}")
 
     out_dir = Path(cfg.output.dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -118,11 +137,8 @@ def cmd_train(args) -> None:
 
     log.write_metrics_csv(out_dir / "metrics.csv")
     log.write_eval_csv(out_dir / "eval.csv")
-
-    last_iter = (log.iterations[-1].iteration if log.iterations
-                 else (resume_state or {}).get("iteration", 0))
     trainer_state = {
-        "iteration": last_iter,
+        "iteration": log.iterations[-1].iteration,
         "epoch": cfg.train.epochs,
         "rng": log.final_rng_state,
     }

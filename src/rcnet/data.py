@@ -132,7 +132,10 @@ def load_cifar10(path, split: str = "train") -> LabeledDataset:
 
     images, labels = [], []
     for shard in shards:
-        buf = np.fromfile(shard, dtype=np.uint8)
+        try:
+            buf = np.fromfile(shard, dtype=np.uint8)
+        except OSError as e:
+            raise DataError(f"cannot read CIFAR shard {shard}: {e}") from e
         if buf.size == 0 or buf.size % CIFAR_RECORD_BYTES:
             raise DataError(
                 f"truncated CIFAR shard {shard}: {buf.size} bytes is not a "

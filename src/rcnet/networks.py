@@ -19,7 +19,7 @@ report counts the parameters and a traced forward of the network.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,13 +111,6 @@ class NetworkSpec:
     @property
     def cell_kind(self) -> str:
         return CELL_KIND_BY_ARCH[self.arch]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "NetworkSpec":
-        return NetworkSpec(**d)
 
 
 # ---------------------------------------------------------------------------

@@ -545,7 +545,9 @@ class TestBadInputExitCodes:
                                                   capsys):
         cfg = write_cfg(tmp_path, text, out=tmp_path / "run")
         assert run_cli(["train", "--config", cfg]) == 2
-        assert "train mode needs at least 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {cfg}: a training batch of" in err
+        assert "train mode needs at least 2" in err
         assert not (tmp_path / "run").exists()
 
     def test_textures_the_generator_refuses_exit_code_3(self, tmp_path,
@@ -712,6 +714,90 @@ class TestBadInputExitCodes:
         assert "cannot read" in capsys.readouterr().err
         for out in ("ev", "resumed", "y.rct", "feat"):
             assert not (tmp_path / out).exists()
+
+    @pytest.mark.parametrize("what,code", [
+        ("cifar-shard-is-dir", 3), ("infer-output-in-missing-dir", 2),
+        ("export-bn-out-in-missing-dir", 2), ("eval-out-dir-is-file", 2),
+        ("cost-out-dir-is-file", 2), ("export-features-out-dir-is-file", 2),
+        ("train-out-dir-under-file", 2)])
+    def test_unreadable_shard_or_unwritable_output_exit_code(
+            self, trained, tmp_path, what, code):
+        import rcnet
+        tmp, cfg = trained
+        ckpt = tmp / "run" / "last.ckpt"
+        x, missing, afile = (tmp_path / "x.rct", tmp_path / "missing",
+                             tmp_path / "afile")
+        write_rct(x, np.zeros((3, 8, 8), np.float32))
+        afile.write_text("")
+        cifar = tmp_path / "cifar"
+        (cifar / "data_batch_1.bin").mkdir(parents=True)
+        for i in range(2, 6):
+            (cifar / f"data_batch_{i}.bin").write_bytes(b"")
+        cifar_cfg = write_cfg(tmp_path, TOY_CLASSIFY.replace(
+            "kind = synthetic_classify", f"kind = cifar10\npath = {cifar}"),
+            "cifar.ini", out=tmp_path / "run")
+        args = {
+            "cifar-shard-is-dir": ["train", "--config", cifar_cfg],
+            "infer-output-in-missing-dir": [
+                "infer", "--checkpoint", ckpt, "--input", x, "--step", "3",
+                "--output", missing / "y.rct"],
+            "export-bn-out-in-missing-dir": [
+                "export-bn", "--checkpoint", ckpt, "--out",
+                missing / "bn.csv"],
+            "eval-out-dir-is-file": [
+                "eval", "--checkpoint", ckpt, "--config", cfg, "--step", "3",
+                "--out-dir", afile],
+            "cost-out-dir-is-file": ["cost", "--config", cfg,
+                                     "--out-dir", afile],
+            "export-features-out-dir-is-file": [
+                "export-features", "--checkpoint", ckpt, "--input", x,
+                "--cell", "cell1", "--step", "3", "--out-dir", afile],
+            "train-out-dir-under-file": ["train", "--config", cfg,
+                                         "--out-dir", afile / "run"],
+        }[what]
+        # a subprocess, so that an uncaught error shows as a traceback
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(rcnet.__file__).parents[1]))
+        r = subprocess.run([sys.executable, "-m", "rcnet"]
+                           + [str(a) for a in args],
+                           env=env, capture_output=True, text=True)
+        assert r.returncode == code
+        assert "Traceback" not in r.stderr
+        assert ("cannot read CIFAR shard" if code == 3
+                else "cannot write output") in r.stderr
+        assert not (tmp_path / "run").exists()
+
+    def test_resume_of_another_network_exit_code_4(self, tmp_path, capsys):
+        from rcnet.checkpoint import save_checkpoint
+        cfg = write_cfg(tmp_path, TOY_CLASSIFY, out=tmp_path / "run")
+        ckpt = tmp_path / "max_step_2.ckpt"
+        save_checkpoint(ckpt, build_seeded(
+            replace(parse_config(cfg).network, max_step=2)))
+        assert run_cli(["train", "--config", cfg, "--resume", ckpt]) == 4
+        assert "different network spec" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("epochs", [2, 1], ids=["equal", "below"])
+    def test_resume_with_no_epoch_left_exit_code_2(self, tmp_path, epochs,
+                                                   capsys):
+        run = tmp_path / "run"
+        cfg = write_cfg(tmp_path, TOY_CLASSIFY.replace("epochs = 1",
+                                                       "epochs = 2"), out=run)
+        assert run_cli(["train", "--config", cfg]) == 0
+        ckpt = run / "last.ckpt"
+        before, listing = ckpt.read_bytes(), sorted(run.iterdir())
+        again = write_cfg(tmp_path, TOY_CLASSIFY.replace(
+            "epochs = 1", f"epochs = {epochs}"), "again.ini", out=run)
+        capsys.readouterr()
+        for out_dir in ([], ["--out-dir", tmp_path / "resumed"]):
+            assert run_cli(["train", "--config", again, "--resume", ckpt]
+                           + out_dir) == 2
+            err = capsys.readouterr().err
+            assert f"config error: {again}: epochs = {epochs}, but {ckpt} " \
+                "is already at epoch 2" in err
+        assert not (tmp_path / "resumed").exists()
+        assert sorted(run.iterdir()) == listing
+        assert ckpt.read_bytes() == before
 
     def test_step_outside_trained_support_exit_code_2(self, trained,
                                                       capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import (build_seeded, mutations, poison_checkpoint,
                       small_r2_spec, small_r3_spec)
 from rcnet import checkpoint
-from rcnet.checkpoint import load_checkpoint, restore_into, save_checkpoint
+from rcnet.checkpoint import load_checkpoint, save_checkpoint
 from rcnet.data import (DenoiseSet, add_gaussian_noise, load_cifar10,
                         make_synthetic_classification, make_synthetic_textures,
                         psnr, read_pgm, read_rct, write_pgm, write_rct)
@@ -316,14 +316,6 @@ class TestCheckpoint:
                     label = mod.bank.address_name(addr)
                     assert f"{name}.bank.{label}.slot0.gamma" in table
 
-    def test_spec_guard_rejects_other_network(self, tmp_path):
-        net = build_seeded(small_r2_spec(max_step=2))
-        other = build_seeded(small_r2_spec(max_step=3))
-        p = tmp_path / "x.ckpt"
-        save_checkpoint(p, net)
-        with pytest.raises(CheckpointError, match="different network spec"):
-            restore_into(other, p)
-
     def test_corrupt_magic_header_and_names(self, tmp_path):
         net = build_seeded(small_r2_spec(max_step=1))
         p = tmp_path / "x.ckpt"
@@ -378,11 +370,10 @@ class TestCheckpoint:
         good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
         save_checkpoint(good, net)
         poison_checkpoint(good, bad, "cell1.bank.j1.slot1.running_var", value)
-        for read in (load_checkpoint, lambda p: restore_into(net, p)):
-            with pytest.raises(CheckpointError,
-                               match="'cell1.bank.j1.slot1.running_var' has "
-                                     "non-finite"):
-                read(bad)
+        with pytest.raises(CheckpointError,
+                           match="'cell1.bank.j1.slot1.running_var' has "
+                                 "non-finite"):
+            load_checkpoint(bad)
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         net = build_seeded(small_r2_spec(max_step=1))

@@ -1,6 +1,7 @@
 """Architecture builders, expansion oracle, and cost accounting."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -62,16 +63,16 @@ class TestSpecValidation:
              "momentum-neg"])
     def test_bn_setting_out_of_range_rejected(self, key, value, message):
         with pytest.raises(ValueError, match=message):
-            NetworkSpec(**{**paper_r2_spec(2).to_dict(), key: value})
+            NetworkSpec(**{**asdict(paper_r2_spec(2)), key: value})
 
     def test_bn_setting_bounds_accepted(self):
         for eps, momentum in ((0.0, 0.0), (1e-5, 1.0)):
-            NetworkSpec(**{**paper_r2_spec(2).to_dict(), "bn_eps": eps,
+            NetworkSpec(**{**asdict(paper_r2_spec(2)), "bn_eps": eps,
                            "bn_momentum": momentum})
 
     def test_spec_dict_roundtrip(self):
         spec = paper_r2_spec(3)
-        assert NetworkSpec.from_dict(spec.to_dict()) == spec
+        assert NetworkSpec(**asdict(spec)) == spec
 
 
 class TestClassifierR2Accounting:
@@ -124,7 +125,7 @@ class TestClassifierR2Accounting:
 
     def test_purity_under_serialization(self):
         spec = paper_r2_spec(3)
-        again = NetworkSpec.from_dict(spec.to_dict())
+        again = NetworkSpec(**asdict(spec))
         assert cost_report(spec) == cost_report(again)
 
 
