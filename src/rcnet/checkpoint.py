@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import CheckpointError, NumericalCheckError
 from .networks import Network, NetworkSpec, build_network
+from .training import RngStreams
 
 MAGIC = b"RCNETCKP"
 FORMAT_VERSION = 1
@@ -171,6 +172,32 @@ def _install(network: Network, table: dict[str, np.ndarray], path) -> None:
         dst[...] = src
 
 
+def _check_header_state(header: dict, max_step: int, path) -> None:
+    """Raise CheckpointError unless the header's trainer state and trained
+    support have the types and ranges that training writes."""
+    for key in ("iteration", "epoch"):
+        value = header.get(key, 0)
+        if type(value) is not int or value < 0:
+            raise CheckpointError(
+                f"{path}: header {key} must be an integer >= 0, got {value!r}")
+    rng = header.get("rng")
+    if rng is not None:
+        try:
+            RngStreams(0).set_state(rng)
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise CheckpointError(
+                f"{path}: header rng is missing a stream or holds an "
+                f"invalid one ({e!r})") from e
+    support = header.get("trained_support")
+    if support is not None and not (
+            isinstance(support, list) and support
+            and all(type(s) is int and 1 <= s <= max_step for s in support)
+            and len(set(support)) == len(support)):
+        raise CheckpointError(
+            f"{path}: header trained_support must be null or a non-empty "
+            f"list of distinct steps in [1, {max_step}], got {support!r}")
+
+
 def load_checkpoint(path) -> tuple[Network, dict]:
     """Rebuild the stored network; returns (network, trainer_state)."""
     try:
@@ -183,6 +210,7 @@ def load_checkpoint(path) -> tuple[Network, dict]:
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: invalid network spec in header ({e})") \
             from e
+    _check_header_state(header, spec.max_step, path)
     table = _read_tensors(data, offset, path)
     del data  # the table holds copies; free the file before the build
     bad = _first_non_finite(table)

@@ -4,19 +4,36 @@ invertible space-to-depth, linear maps and losses.
 All kernels are plain numpy in NCHW layout. Convolution runs at stride 1
 with k//2 zero padding, so it keeps H x W; networks downsample by pooling
 (:func:`avgpool2d`, :func:`invpool`), never by a strided convolution. It
-uses cross-correlation semantics (no kernel flip) and im2col columns
-multiplied by BLAS matmul.
+uses cross-correlation semantics (no kernel flip) and BLAS matmul.
 
-The convolution forward builds and multiplies its columns one chunk of
-images at a time, about ``_COL_CHUNK_BYTES`` of columns per chunk, so each
-chunk is still in L2 when the GEMM reads it. Written for the whole batch
-at once, the columns of a wide layer (tens of MB) go out to memory and
-back, and the forward is bound by memory bandwidth rather than by the
-GEMM. A taped forward runs the same chunks and keeps only its padded
-input; the backward rebuilds the whole batch's columns once, uses them
-for the weight gradient and then overwrites them with the input
-gradient's columns (recomputation in place of storage, as in Chen et al.,
-arXiv:1604.06174).
+:func:`conv2d` has two forward paths, picked by one test: will a backward
+be recorded for this output?
+
+- An untaped forward (eval, inference) runs ``kh`` GEMMs over ``kw``
+  width-shifted copies of the input, a partial im2col (Anderson et al.,
+  arXiv:1709.03395; Vasudevan et al., arXiv:1704.04428). The copies sit in
+  a zeroed ``[m, c, kw, h + 2*ph, w]`` buffer whose padding rows and
+  shifted-out columns stay zero, so kernel row ``i`` reads rows ``i`` to
+  ``i + h`` of it in place as a strided ``(c*kw, h*w)`` matrix: there is no
+  ``np.pad`` and no ``kh``-fold column copy. Each image's output comes from
+  the same GEMMs whatever the batch, so its bits do not depend on the
+  batch.
+- A taped forward builds im2col columns, ``kh*kw`` shifted copies of the
+  input, and multiplies them by the weights in one GEMM per image. It sums
+  in another order than the untaped path, so their outputs differ in the
+  last bits. It stays on im2col because training is pinned bit for
+  bit: checkpoints and ``metrics.csv`` keep their bytes until a change of
+  summation order in training can be gated (see ROADMAP items 1 and 2).
+
+Both forwards work one chunk of images at a time, about
+``_COL_CHUNK_BYTES`` of buffer per chunk, so each chunk is still in L2 when
+the GEMM reads it. Written for the whole batch at once, the columns of a
+wide layer (tens of MB) go out to memory and back, and the forward is
+bound by memory bandwidth rather than by the GEMM. A taped forward keeps
+only its padded input; the backward rebuilds the whole batch's columns
+once, uses them for the weight gradient and then overwrites them with the
+input gradient's columns (recomputation in place of storage, as in Chen et
+al., arXiv:1604.06174).
 """
 
 from __future__ import annotations
@@ -26,10 +43,15 @@ import numpy as np
 from .autodiff import Parameter, Tensor, record, recording
 
 
+def _taped(*inputs) -> bool:
+    """Whether an op on ``inputs`` records a backward."""
+    return recording() and any(
+        t.requires_grad for t in inputs if t is not None)
+
+
 def _out(data, *inputs) -> Tensor:
     y = Tensor(data)
-    y.requires_grad = recording() and any(
-        t.requires_grad for t in inputs if t is not None)
+    y.requires_grad = _taped(*inputs)
     return y
 
 
@@ -42,9 +64,9 @@ def _check_same_dtype(op: str, *tensors) -> None:
 # ---------------------------------------------------------------------------
 # convolution
 
-# Column bytes per forward chunk. 256 KiB fits in the L2 of current server
-# cores (256 KiB to 2 MiB) with room left for the GEMM's packed weight and
-# output panels; a chunk holds at least one image.
+# Column (or shifted-copy) bytes per forward chunk. 256 KiB fits in the L2
+# of current server cores (256 KiB to 2 MiB) with room left for the GEMM's
+# packed weight and output panels; a chunk holds at least one image.
 _COL_CHUNK_BYTES = 256 * 1024
 
 
@@ -54,6 +76,36 @@ def _im2col(xp: np.ndarray, cols: np.ndarray) -> None:
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i:i + h, j:j + w]
+
+
+def _conv_shifted(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Same-padded stride-1 cross-correlation of ``x`` [n,c,h,w] with
+    ``weight`` [o,c,kh,kw] as ``kh`` GEMMs over ``kw`` width-shifted copies
+    of ``x``; returns [n,o,h*w]."""
+    n, c, h, w = x.shape
+    o, _, kh, kw = weight.shape
+    ph, pw = kh // 2, kw // 2
+    hw = h * w
+    chunk = min(n, max(1, _COL_CHUNK_BYTES // (c * kw * (h + 2 * ph) * w
+                                               * x.itemsize)))
+    # buf[:, :, j, ph + r, q] = x[:, :, r, q + j - pw]; the rest stays 0
+    buf = np.zeros((chunk, c, kw, h + 2 * ph, w), dtype=x.dtype)
+    rows = buf.reshape(chunk, c * kw, (h + 2 * ph) * w)
+    wrows = [weight[:, :, i].reshape(o, c * kw) for i in range(kh)]
+    out = np.empty((n, o, hw), dtype=x.dtype)
+    part = np.empty((chunk, o, hw), dtype=x.dtype) if kh > 1 else None
+    for b0 in range(0, n, chunk):
+        b1 = min(b0 + chunk, n)
+        m = b1 - b0
+        for j in range(kw):
+            d = j - pw
+            buf[:m, :, j, ph:ph + h, max(0, -d):w - max(0, d)] = \
+                x[b0:b1, :, :, max(0, d):w + min(0, d)]
+        np.matmul(wrows[0], rows[:m, :, :hw], out=out[b0:b1])
+        for i in range(1, kh):
+            np.matmul(wrows[i], rows[:m, :, i * w:i * w + hw], out=part[:m])
+            out[b0:b1] += part[:m]
+    return out
 
 
 def _col2im(cols: np.ndarray, padded_shape) -> np.ndarray:
@@ -87,6 +139,12 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tenso
             f"conv2d bias shape {tuple(bias.shape)} != ({o},)")
     ph, pw = kh // 2, kw // 2
 
+    if not _taped(x, weight, bias):
+        out = _conv_shifted(x.data, weight.data).reshape(n, o, h, w)
+        if bias is not None:
+            out += bias.data.reshape(1, o, 1, 1)
+        return Tensor(out)
+
     xp = (np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
           if ph or pw else x.data)
     k = c * kh * kw
@@ -104,32 +162,31 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tenso
         out += bias.data.reshape(1, o, 1, 1)
     y = _out(out, x, weight, bias)
 
-    if y.requires_grad:
-        need_x, need_w = x.requires_grad, weight.requires_grad
-        need_b = bias is not None and bias.requires_grad
+    need_x, need_w = x.requires_grad, weight.requires_grad
+    need_b = bias is not None and bias.requires_grad
 
-        def bwd(g):
-            gm = g.reshape(n, o, h * w)
-            gw = gb = gx = None
-            buf = np.empty(n * h * w * k, dtype=xp.dtype)
-            if need_w:
-                # Columns as [n*h*w, k] rows: this dot gets exactly the
-                # operands np.tensordot(gm, cols, ([0, 2], [0, 2])) would
-                # copy them to, so dW has the same bits as that form.
-                rows = buf.reshape(n, h, w, c, kh, kw)
-                _im2col(xp, rows.transpose(0, 3, 4, 5, 1, 2))
-                gw = np.dot(gm.transpose(1, 0, 2).reshape(o, n * h * w),
-                            buf.reshape(n * h * w, k)).reshape(weight.shape)
-            if need_b:
-                gb = g.sum(axis=(0, 2, 3))
-            if need_x:
-                np.matmul(wmat.T, gm, out=buf.reshape(n, k, h * w))
-                gxp = _col2im(buf.reshape(n, c, kh, kw, h, w), xp.shape)
-                gx = np.ascontiguousarray(gxp[:, :, ph:ph + h, pw:pw + w])
-            return (gx, gw, gb) if bias is not None else (gx, gw)
+    def bwd(g):
+        gm = g.reshape(n, o, h * w)
+        gw = gb = gx = None
+        buf = np.empty(n * h * w * k, dtype=xp.dtype)
+        if need_w:
+            # Columns as [n*h*w, k] rows: this dot gets exactly the
+            # operands np.tensordot(gm, cols, ([0, 2], [0, 2])) would
+            # copy them to, so dW has the same bits as that form.
+            rows = buf.reshape(n, h, w, c, kh, kw)
+            _im2col(xp, rows.transpose(0, 3, 4, 5, 1, 2))
+            gw = np.dot(gm.transpose(1, 0, 2).reshape(o, n * h * w),
+                        buf.reshape(n * h * w, k)).reshape(weight.shape)
+        if need_b:
+            gb = g.sum(axis=(0, 2, 3))
+        if need_x:
+            np.matmul(wmat.T, gm, out=buf.reshape(n, k, h * w))
+            gxp = _col2im(buf.reshape(n, c, kh, kw, h, w), xp.shape)
+            gx = np.ascontiguousarray(gxp[:, :, ph:ph + h, pw:pw + w])
+        return (gx, gw, gb) if bias is not None else (gx, gw)
 
-        inputs = (x, weight, bias) if bias is not None else (x, weight)
-        record(y, inputs, bwd)
+    inputs = (x, weight, bias) if bias is not None else (x, weight)
+    record(y, inputs, bwd)
     return y
 
 

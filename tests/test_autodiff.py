@@ -78,22 +78,52 @@ class TestConv2d:
     @pytest.mark.parametrize("k,size", SAME_CASES)
     def test_chunked_forward_equals_taped_bit_for_bit(
             self, rng, monkeypatch, dtype, k, size):
-        # n = 7 at three images per chunk: chunks of 3, 3 and 1, taped or
-        # not.
-        x = rng.standard_normal((7, 4, size, size)).astype(dtype)
-        w = Parameter(rng.standard_normal((3, 4, k, k)).astype(dtype))
-        b = Parameter(rng.standard_normal(3).astype(dtype))
-        per_image = 4 * k * k * size * size * np.dtype(dtype).itemsize
+        # The taped forward, in chunks of 3, 3 and 1 images, against the
+        # whole batch's im2col columns multiplied at once: training bits.
+        n, c, o, p = 7, 4, 3, k // 2
+        x = rng.standard_normal((n, c, size, size)).astype(dtype)
+        w = Parameter(rng.standard_normal((o, c, k, k)).astype(dtype))
+        b = Parameter(rng.standard_normal(o).astype(dtype))
+        per_image = c * k * k * size * size * np.dtype(dtype).itemsize
         monkeypatch.setattr(F, "_COL_CHUNK_BYTES", 3 * per_image)
-        chunked = F.conv2d(Tensor(x), w, b).data
         with Tape():
             taped = F.conv2d(Tensor(x), w, b)
         assert taped.requires_grad
-        assert chunked.dtype == dtype
-        npt.assert_array_equal(chunked, taped.data)
+        assert taped.data.dtype == dtype
+
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        cols = np.empty((n, c, k, k, size, size), dtype=dtype)
+        for i in range(k):
+            for j in range(k):
+                cols[:, :, i, j] = xp[:, :, i:i + size, j:j + size]
+        want = np.matmul(w.data.reshape(o, -1),
+                         cols.reshape(n, c * k * k, size * size))
+        want = want.reshape(n, o, size, size) + b.data.reshape(1, o, 1, 1)
+        npt.assert_array_equal(taped.data, want)
+
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,size", SAME_CASES)
+    def test_untaped_forward_matches_oracle_and_taped(
+            self, rng, monkeypatch, dtype, k, size, n):
+        # The untaped forward sums in another order than the taped one, so
+        # both are held to the dtype's tolerance. n = 7 at three images per
+        # chunk: chunks of 3, 3 and 1.
+        c = 4
+        x = rng.standard_normal((n, c, size, size)).astype(dtype)
+        w = Parameter(rng.standard_normal((3, c, k, k)).astype(dtype))
+        b = Parameter(rng.standard_normal(3).astype(dtype))
+        per_image = c * k * (size + k - 1) * size * np.dtype(dtype).itemsize
+        monkeypatch.setattr(F, "_COL_CHUNK_BYTES", 3 * per_image)
+        untaped = F.conv2d(Tensor(x), w, b)
+        with Tape():
+            taped = F.conv2d(Tensor(x), w, b)
+        assert not untaped.requires_grad
+        assert untaped.data.dtype == dtype
         tol = 1e-4 if dtype == np.float32 else 1e-12
-        npt.assert_allclose(chunked, naive_conv2d(x, w.data, b.data,
-                                                  padding=k // 2),
+        npt.assert_allclose(untaped.data, taped.data, atol=tol, rtol=0)
+        npt.assert_allclose(untaped.data, naive_conv2d(x, w.data, b.data,
+                                                       padding=k // 2),
                             atol=tol, rtol=0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

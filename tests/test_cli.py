@@ -110,16 +110,16 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
-def edit_stored_spec(src, dst, edit):
-    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to the
-    network spec dict in its header."""
+def edit_stored_header(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its
+    header dict."""
     import json
     import struct
 
     from rcnet.checkpoint import _read_header
     raw = Path(src).read_bytes()
     header, offset = _read_header(raw, str(src))
-    edit(header["spec"])
+    edit(header)
     hbytes = json.dumps(header, sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
     Path(dst).write_bytes(raw[:12] + struct.pack("<Q", len(hbytes)) + hbytes
@@ -825,8 +825,8 @@ class TestBadInputExitCodes:
     def test_spec_without_arch_exit_code_4(self, trained, tmp_path):
         tmp, cfg = trained
         bad = tmp_path / "noarch.ckpt"
-        edit_stored_spec(tmp / "run" / "last.ckpt", bad,
-                         lambda spec: spec.pop("arch"))
+        edit_stored_header(tmp / "run" / "last.ckpt", bad,
+                           lambda header: header["spec"].pop("arch"))
         assert run_cli(["train", "--config", cfg, "--out-dir",
                         tmp_path / "resumed", "--resume", bad]) == 4
         assert run_cli(["infer", "--checkpoint", bad, "--input",
@@ -841,8 +841,8 @@ class TestBadInputExitCodes:
         # still report it as a bad checkpoint, not as a bad setting
         tmp, cfg = trained
         bad = tmp_path / "bad.ckpt"
-        edit_stored_spec(tmp / "run" / "last.ckpt", bad,
-                         lambda spec: spec.update({key: value}))
+        edit_stored_header(tmp / "run" / "last.ckpt", bad,
+                           lambda header: header["spec"].update({key: value}))
         assert run_cli(["train", "--config", cfg, "--out-dir",
                         tmp_path / "resumed", "--resume", bad]) == 4
         assert run_cli(["infer", "--checkpoint", bad, "--input",
@@ -851,6 +851,45 @@ class TestBadInputExitCodes:
         err = capsys.readouterr().err
         assert err.count("checkpoint error:") == 2
         assert err.count("invalid network spec in header") == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda header: header.update(epoch="x"),
+        lambda header: header.update(epoch=-1),
+        lambda header: header.update(iteration=2.5),
+        lambda header: header["rng"].pop("init"),
+        lambda header: header["rng"]["noise"].update(bit_generator="MT19937"),
+    ], ids=["epoch-string", "epoch-negative", "iteration-float",
+            "rng-missing-stream", "rng-other-generator"])
+    def test_bad_trainer_state_exit_code_4(self, trained, tmp_path, edit,
+                                           capsys):
+        # epochs = 2, so a resume of the 1-epoch checkpoint would train
+        tmp, _ = trained
+        cfg = write_cfg(tmp_path, TOY_CLASSIFY.replace("epochs = 1",
+                                                       "epochs = 2"),
+                        out=tmp_path / "run")
+        bad = tmp_path / "bad.ckpt"
+        edit_stored_header(tmp / "run" / "last.ckpt", bad, edit)
+        assert run_cli(["train", "--config", cfg, "--resume", bad]) == 4
+        assert "checkpoint error: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("support", [[9], [2, 2], [], "2,3"],
+                             ids=["above-max-step", "repeated", "empty",
+                                  "string"])
+    def test_bad_trained_support_exit_code_4(self, trained, tmp_path,
+                                             support, capsys):
+        from rcnet.data import write_rct
+        tmp, _ = trained
+        bad = tmp_path / "bad.ckpt"
+        edit_stored_header(tmp / "run" / "last.ckpt", bad,
+                           lambda header: header.update(
+                               trained_support=support))
+        write_rct(tmp_path / "x.rct", np.zeros((3, 8, 8), np.float32))
+        assert run_cli(["infer", "--checkpoint", bad, "--input",
+                        tmp_path / "x.rct", "--step", "2",
+                        "--output", tmp_path / "y.rct"]) == 4
+        assert "header trained_support must be" in capsys.readouterr().err
+        assert not (tmp_path / "y.rct").exists()
 
     def test_non_finite_checkpoint_exit_code_4(self, trained, tmp_path,
                                                capsys):

@@ -404,3 +404,15 @@ class TestDenoiserR3:
         net = build_seeded(small_r3_spec())
         x = rng.standard_normal((3, 1, 16, 16)).astype(np.float32)
         assert net.forward(x, 1, training=False).shape == x.shape
+
+    def test_eval_forward_is_batch_invariant(self, rng):
+        # Each image's eval output is bit-identical whether it is forwarded
+        # alone or in a batch of 20, so evaluators may batch freely.
+        net = build_seeded(small_r3_spec(max_step=3))
+        _randomize_bn(net, rng)
+        x = (rng.standard_normal((20, 1, 16, 16)) * 25 + 128) \
+            .astype(np.float32)
+        batched = net.forward(x, 3, training=False).data
+        for i in range(len(x)):
+            npt.assert_array_equal(
+                batched[i], net.forward(x[i:i + 1], 3, training=False).data[0])
