@@ -25,6 +25,9 @@ from .networks import (bn_table, build_network, cost_report,
                        expand_to_standard, step_cost)
 from .training import TASKS, RngStreams, check_batches, infer, run_training
 
+# the first line of the eval command's eval.csv
+EVAL_HEADER = "metric,step,value\n"
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -201,37 +204,48 @@ def cmd_eval(args) -> None:
         if want != have:
             raise ConfigError(f"{args.config} sets {what} = {want}, the "
                               f"checkpoint's network has {have}")
+    out_dir = Path(args.out_dir)
+    csv_path = out_dir / "eval.csv"
+    new = not csv_path.exists()
+    if not new:
+        with open(csv_path, "rb") as f:
+            if f.readline() != EVAL_HEADER.encode():
+                raise ConfigError(
+                    f"{csv_path}: first line is not "
+                    f"'{EVAL_HEADER.strip()}'; not appending to it")
     task = TASKS[spec.task]
     _, test_set = build_datasets(cfg)
     value = task.evaluate(network, test_set, args.step)
     print(f"metric={task.metric} step={args.step} value={value:.6f}")
 
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "eval.csv"
-    new = not csv_path.exists()
     with open(csv_path, "a") as f:
         if new:
-            f.write("metric,step,value\n")
+            f.write(EVAL_HEADER)
         f.write(f"{task.metric},{args.step},{value!r}\n")
 
 
 def cmd_infer(args) -> None:
     network = _load_network(args.checkpoint, args.step)
     x = _load_input(args.input, network.spec)
+    # a denoiser's PGM input gives a PGM, any other input a .rct tensor
+    pgm_out = (network.spec.task == "denoise"
+               and Path(args.input).suffix == ".pgm")
+    writes, other = (".pgm", ".rct") if pgm_out else (".rct", ".pgm")
+    if Path(args.output).suffix == other:
+        raise ConfigError(f"--output {args.output}: this input gives a "
+                          f"{writes} output, not {other}")
     out = infer(network, x, args.step)
     flops, _, _ = step_cost(network, args.step)
-    if network.spec.task == "classify":
-        label = int(out.argmax(axis=1)[0])
-        write_rct(args.output, out)
-        print(f"infer step={args.step} flops={flops} label={label} "
-              f"output={args.output}")
+    if pgm_out:
+        write_pgm(args.output, np.clip(out[0, 0], 0, 255))
     else:
-        if Path(args.input).suffix == ".pgm":
-            write_pgm(args.output, np.clip(out[0, 0], 0, 255))
-        else:
-            write_rct(args.output, out)
-        print(f"infer step={args.step} flops={flops} output={args.output}")
+        write_rct(args.output, out)
+    label = ""
+    if network.spec.task == "classify":
+        label = f" label={int(out.argmax(axis=1)[0])}"
+    print(f"infer step={args.step} flops={flops}{label} "
+          f"output={args.output}")
 
 
 def cmd_cost(args) -> None:

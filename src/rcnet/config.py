@@ -17,10 +17,15 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
+import numpy as np
+
+from .data import (DenoiseSet, load_cifar10, load_pgm_folder,
+                   make_denoise_eval_set, make_synthetic_classification,
+                   make_synthetic_textures)
+from .errors import ConfigError, DataError
 from .networks import TASK_BY_ARCH, NetworkSpec
 from .rc import StepDistribution
 from .training import TrainConfig, check_regime
@@ -31,8 +36,8 @@ DATA_KINDS = {"synthetic_classify": "classify", "cifar10": "classify",
 
 # defaults applied when regime = cost_adjustable leaves the step keys
 # untouched: higher probability on larger steps
-CA_DEFAULT_SUPPORT = "2,3,4"
-CA_DEFAULT_PROBS = "0.2,0.3,0.5"
+CA_DEFAULT_SUPPORT = (2, 3, 4)
+CA_DEFAULT_PROBS = (0.2, 0.3, 0.5)
 
 
 def _parse_int(v): return int(v)
@@ -63,61 +68,17 @@ def _parse_float_list(v):
     return tuple(_parse_float(t) for t in v.split(",") if t.strip())
 
 
-# section -> key -> (parser, default-as-string or None for "unset")
-SCHEMA: dict[str, dict[str, tuple]] = {
-    "network": {
-        "arch": (_parse_str, "r2"),
-        "bn_mode": (_parse_str, "independent"),
-        "max_step": (_parse_int, "3"),
-        "widths": (_parse_int_list, "16,64"),
-        "image_channels": (_parse_int, "3"),
-        "image_size": (_parse_int, "16"),
-        "num_classes": (_parse_int, "3"),
-        "bn_eps": (_parse_float, "1e-5"),
-        "bn_momentum": (_parse_float, "0.1"),
-    },
-    "train": {
-        "lr": (_parse_float, "0.05"),
-        "momentum": (_parse_float, "0.9"),
-        "weight_decay": (_parse_float, "0.0"),
-        "shared_lr_scale": (_parse_float, "0.5"),
-        "clip_max_norm": (_parse_float, "5.0"),
-        "epochs": (_parse_int, "2"),
-        "batch_size": (_parse_int, "50"),
-        "regime": (_parse_str, "fixed"),
-        "step_support": (_parse_int_list, None),
-        "step_probs": (_parse_float_list, None),
-        "seed": (_parse_int, "0"),
-        "eval_each_epoch": (_parse_bool, "true"),
-    },
-    "data": {
-        "kind": (_parse_str, "synthetic_classify"),
-        "path": (_parse_str, None),       # required for cifar10/pgm_folder
-        "samples": (_parse_int, "2000"),
-        "test_samples": (_parse_int, "500"),
-        "pattern_noise": (_parse_float, "0.15"),
-        "sigma": (_parse_float, "25.0"),
-        "count": (_parse_int, "32"),
-        "test_count": (_parse_int, "8"),
-        "patch_size": (_parse_int, "40"),
-    },
-    "output": {
-        "dir": (_parse_str, "run_out"),
-    },
-}
-
-
 @dataclass
 class DataConfig:
-    kind: str
-    path: str | None
-    samples: int
-    test_samples: int
-    pattern_noise: float
-    sigma: float
-    count: int
-    test_count: int
-    patch_size: int
+    kind: str = "synthetic_classify"
+    path: str | None = None  # required for cifar10/pgm_folder
+    samples: int = 2000
+    test_samples: int = 500
+    pattern_noise: float = 0.15
+    sigma: float = 25.0
+    count: int = 32
+    test_count: int = 8
+    patch_size: int = 40
 
     def __post_init__(self):
         # checked for every kind; ``not > 0`` fails a NaN sigma too
@@ -136,7 +97,51 @@ class DataConfig:
 
 @dataclass
 class OutputConfig:
-    dir: str
+    dir: str = "run_out"
+
+
+# a field's annotation (a string under ``from __future__ import
+# annotations``) -> the parser of its key
+_PARSERS = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool,
+            "str": _parse_str, "str | None": _parse_str}
+
+# the [train] keys that build TrainConfig.step_distribution; None = derived
+_STEP_KEYS = {
+    "regime": (_parse_str, "fixed"),
+    "step_support": (_parse_int_list, None),
+    "step_probs": (_parse_float_list, None),
+}
+
+
+def _field_keys(cls) -> dict[str, tuple]:
+    """One key per field of ``cls``: its name, annotation's parser and
+    default; ``step_distribution`` gives way to the keys that build it."""
+    keys: dict[str, tuple] = {}
+    for f in fields(cls):
+        if f.name == "step_distribution":
+            keys.update(_STEP_KEYS)
+        else:
+            keys[f.name] = (_PARSERS[f.type], f.default)
+    return keys
+
+
+# section -> key -> (parser, default value; None = unset)
+SCHEMA: dict[str, dict[str, tuple]] = {
+    "network": {
+        "arch": (_parse_str, "r2"),
+        "bn_mode": (_parse_str, "independent"),
+        "max_step": (_parse_int, 3),
+        "widths": (_parse_int_list, (16, 64)),
+        "image_channels": (_parse_int, 3),
+        "image_size": (_parse_int, 16),
+        "num_classes": (_parse_int, 3),
+        "bn_eps": (_parse_float, NetworkSpec.bn_eps),
+        "bn_momentum": (_parse_float, NetworkSpec.bn_momentum),
+    },
+    "train": _field_keys(TrainConfig),
+    "data": _field_keys(DataConfig),
+    "output": _field_keys(OutputConfig),
+}
 
 
 @dataclass
@@ -201,13 +206,11 @@ def parse_config(path, seed: int | None = None,
     values: dict[str, dict] = {}
     for section, keys in SCHEMA.items():
         values[section] = {}
+        given = raw.get(section, {})
         for key, (parser, default) in keys.items():
-            text = raw.get(section, {}).get(key, default)
-            if text is None:
-                values[section][key] = None
-                continue
             try:
-                values[section][key] = parser(text)
+                values[section][key] = (parser(given[key]) if key in given
+                                        else default)
             except ValueError as e:
                 raise ConfigError(
                     f"{path}: bad value for [{section}] {key}: {e}") from e
@@ -232,9 +235,9 @@ def _assemble(v: dict) -> ExperimentConfig:
         if regime == "fixed":
             tr["step_support"] = (net["max_step"],)
         else:
-            tr["step_support"] = _parse_int_list(CA_DEFAULT_SUPPORT)
+            tr["step_support"] = CA_DEFAULT_SUPPORT
             if tr["step_probs"] is None:
-                tr["step_probs"] = _parse_float_list(CA_DEFAULT_PROBS)
+                tr["step_probs"] = CA_DEFAULT_PROBS
     if tr["step_probs"] is None:
         tr["step_probs"] = tuple(1.0 / len(tr["step_support"])
                                  for _ in tr["step_support"])
@@ -260,8 +263,7 @@ def _assemble(v: dict) -> ExperimentConfig:
                           f"arch '{arch}' (expected one of {kinds})")
 
     tcfg = TrainConfig(step_distribution=dist, **{
-        key: x for key, x in tr.items()
-        if key not in ("regime", "step_support", "step_probs")})
+        key: x for key, x in tr.items() if key not in _STEP_KEYS})
     return ExperimentConfig(network=spec, train=tcfg, regime=regime,
                             data=data_cfg, output=OutputConfig(**v["output"]),
                             values=v)
@@ -273,13 +275,6 @@ def build_datasets(cfg: ExperimentConfig):
     Seeds derive from the train seed through fixed stream keys, so one
     config seed pins data generation, init, and the training loop.
     """
-    import numpy as np
-
-    from .data import (DenoiseSet, load_cifar10, load_pgm_folder,
-                       make_denoise_eval_set, make_synthetic_classification,
-                       make_synthetic_textures)
-    from .errors import DataError
-
     spec, da, seed = cfg.network, cfg.data, cfg.train.seed
     c, h, _ = spec.image_shape
     if da.kind == "synthetic_classify":

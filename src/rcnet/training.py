@@ -47,6 +47,9 @@ class RngStreams:
 
 @dataclass
 class TrainConfig:
+    """The [train] settings: each field is the config key of its name,
+    with its annotation's parser (int, float, bool or str) and default."""
+
     lr: float = 0.05
     momentum: float = 0.9
     weight_decay: float = 0.0

@@ -3,7 +3,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +13,12 @@ from hypothesis import HealthCheck, given, settings
 from conftest import (build_seeded, mutations, poison_checkpoint,
                       small_r2_spec, small_r3_spec)
 from rcnet.cli import main
-from rcnet.config import DataConfig, parse_config
+from rcnet.config import DataConfig, OutputConfig, parse_config
 from rcnet.data import (make_synthetic_classification,
                         make_synthetic_textures, read_pgm, read_rct,
                         write_pgm, write_rct)
 from rcnet.errors import ConfigError, RcnetError
-from rcnet.networks import expand_to_standard
+from rcnet.networks import NetworkSpec, expand_to_standard
 from rcnet.rc import StepDistribution
 from rcnet.training import TrainConfig, check_batches, check_regime
 
@@ -132,6 +132,17 @@ def readme_config_text():
 
 
 class TestConfigParsing:
+    def test_defaults_are_the_library_defaults(self, tmp_path):
+        cfg = parse_config(write_cfg(tmp_path, ""))
+        for f in fields(TrainConfig):
+            if f.name != "step_distribution":
+                assert getattr(cfg.train, f.name) == \
+                    getattr(TrainConfig(), f.name), f.name
+        assert cfg.data == DataConfig()
+        assert cfg.output == OutputConfig()
+        assert cfg.network.bn_eps == NetworkSpec.bn_eps
+        assert cfg.network.bn_momentum == NetworkSpec.bn_momentum
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"
         p.write_text("[network]\narch = r2\nwdiths = 8,32\n")
@@ -479,6 +490,40 @@ class TestBadInputExitCodes:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
+
+    def test_eval_onto_another_csv_schema_exit_code_2(self, trained,
+                                                      capsys):
+        # training's eval.csv (epoch,err@2,...) is not the eval command's
+        tmp, cfg = trained
+        before = (tmp / "run" / "eval.csv").read_bytes()
+        code = run_cli(["eval", "--checkpoint", tmp / "run" / "last.ckpt",
+                        "--config", cfg, "--step", "2",
+                        "--out-dir", tmp / "run"])
+        assert code == 2
+        assert "first line is not 'metric,step,value'" in \
+            capsys.readouterr().err
+        assert (tmp / "run" / "eval.csv").read_bytes() == before
+
+    @pytest.mark.parametrize("task,name,output", [
+        ("denoise", "x.pgm", "y.rct"), ("denoise", "x.rct", "y.pgm"),
+        ("classify", "x.rct", "y.pgm")],
+        ids=["denoise-pgm-to-rct", "denoise-rct-to-pgm", "classify-to-pgm"])
+    def test_infer_output_of_the_other_format_exit_code_2(
+            self, tmp_path, task, name, output, capsys):
+        from rcnet.checkpoint import save_checkpoint
+        spec = small_r3_spec() if task == "denoise" else small_r2_spec()
+        save_checkpoint(tmp_path / "net.ckpt", build_seeded(spec))
+        if name.endswith(".pgm"):
+            write_pgm(tmp_path / name, np.full((16, 16), 128.0))
+        else:
+            write_rct(tmp_path / name,
+                      np.zeros(spec.image_shape, np.float32))
+        code = run_cli(["infer", "--checkpoint", tmp_path / "net.ckpt",
+                        "--input", tmp_path / name, "--step", "2",
+                        "--output", tmp_path / output])
+        assert code == 2
+        assert f"not {Path(output).suffix}" in capsys.readouterr().err
+        assert not (tmp_path / output).exists()
 
     def test_diverging_run_exit_code_5(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TOY_CLASSIFY.replace("lr = 0.05",
