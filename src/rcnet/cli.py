@@ -231,10 +231,12 @@ def cmd_infer(args) -> None:
     # a denoiser's PGM input gives a PGM, any other input a .rct tensor
     pgm_out = (network.spec.task == "denoise"
                and Path(args.input).suffix == ".pgm")
-    writes, other = (".pgm", ".rct") if pgm_out else (".rct", ".pgm")
-    if Path(args.output).suffix == other:
-        raise ConfigError(f"--output {args.output}: this input gives a "
-                          f"{writes} output, not {other}")
+    writes = ".pgm" if pgm_out else ".rct"
+    suffix = Path(args.output).suffix
+    if suffix != writes:
+        raise ConfigError(
+            f"--output {args.output}: this input gives a {writes} output, "
+            f"not {suffix or 'a suffix-less name'}")
     out = infer(network, x, args.step)
     flops, _, _ = step_cost(network, args.step)
     if pgm_out:

@@ -34,6 +34,25 @@ only its padded input; the backward rebuilds the whole batch's columns
 once, uses them for the weight gradient and then overwrites them with the
 input gradient's columns (recomputation in place of storage, as in Chen et
 al., arXiv:1604.06174).
+
+The backward picks its layouts so that both copy loops move long runs:
+
+- The weight gradient's ``[n*h*w, c*kh*kw]`` column rows are filled from
+  a channels-last ``[n, h + 2*ph, w + 2*pw, c]`` copy of the padded input,
+  in runs of ``c`` floats rather than ``w``.
+- The input gradient runs batch innermost. The output gradient, transposed
+  once to ``[o, h, w, n]``, goes through one GEMM into
+  ``[c, kh, kw, h, w, n]`` columns; col2im adds them into a zeroed
+  ``[c, h + 2*ph, w + 2*pw, n]`` buffer in runs of ``w*n`` floats, which is
+  then cropped and transposed back.
+
+Every product and every addition is the one a per-image backward makes, in
+the same order, so the gradients keep their bits. The taped forward stays
+one GEMM per image: BLAS may sum in another order when the shape of a
+product changes, and run as one batch-wide GEMM the forward changed the
+output bits at the 64-channel shapes of the README training config. The
+batch-wide dX GEMM matched the per-image one at every shape tried, up to
+``o = 1024``; the tests pin it at the training shapes.
 """
 
 from __future__ import annotations
@@ -108,15 +127,6 @@ def _conv_shifted(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return out
 
 
-def _col2im(cols: np.ndarray, padded_shape) -> np.ndarray:
-    n, c, kh, kw, h, w = cols.shape
-    dxp = np.zeros(padded_shape, dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i:i + h, j:j + w] += cols[:, :, i, j]
-    return dxp
-
-
 def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tensor:
     """Cross-correlate ``x`` [N,C,H,W] with ``weight`` [O,C,kH,kW] at
     stride 1, zero-padded by kH//2 rows and kW//2 columns, so the output
@@ -166,23 +176,38 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tenso
     need_b = bias is not None and bias.requires_grad
 
     def bwd(g):
-        gm = g.reshape(n, o, h * w)
         gw = gb = gx = None
         buf = np.empty(n * h * w * k, dtype=xp.dtype)
         if need_w:
-            # Columns as [n*h*w, k] rows: this dot gets exactly the
-            # operands np.tensordot(gm, cols, ([0, 2], [0, 2])) would
-            # copy them to, so dW has the same bits as that form.
+            # Columns as [n*h*w, k] rows, copied from a channels-last xp in
+            # runs of c. This dot gets exactly the operands
+            # np.tensordot(gm, cols, ([0, 2], [0, 2])) would copy them to,
+            # so dW has the same bits as that form.
+            xt = xp.transpose(0, 2, 3, 1).copy()
             rows = buf.reshape(n, h, w, c, kh, kw)
-            _im2col(xp, rows.transpose(0, 3, 4, 5, 1, 2))
+            for i in range(kh):
+                for j in range(kw):
+                    rows[..., i, j] = xt[:, i:i + h, j:j + w]
+            del xt
+            gm = g.reshape(n, o, h * w)
             gw = np.dot(gm.transpose(1, 0, 2).reshape(o, n * h * w),
                         buf.reshape(n * h * w, k)).reshape(weight.shape)
         if need_b:
             gb = g.sum(axis=(0, 2, 3))
         if need_x:
-            np.matmul(wmat.T, gm, out=buf.reshape(n, k, h * w))
-            gxp = _col2im(buf.reshape(n, c, kh, kw, h, w), xp.shape)
-            gx = np.ascontiguousarray(gxp[:, :, ph:ph + h, pw:pw + w])
+            # Batch innermost: one GEMM gives the [c,kh,kw,h,w,n] columns,
+            # each entry the o-long dot product a per-image matmul takes,
+            # and col2im adds them in runs of w*n.
+            gt = g.transpose(1, 2, 3, 0).reshape(o, h * w * n)
+            np.matmul(wmat.T, gt, out=buf.reshape(k, h * w * n))
+            del gt
+            cols = buf.reshape(c, kh, kw, h, w, n)
+            gxp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=xp.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[:, i:i + h, j:j + w] += cols[:, i, j]
+            gx = np.ascontiguousarray(
+                gxp[:, ph:ph + h, pw:pw + w].transpose(3, 0, 1, 2))
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
     inputs = (x, weight, bias) if bias is not None else (x, weight)

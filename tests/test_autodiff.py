@@ -44,6 +44,15 @@ def naive_conv2d(x, w, bias=None, stride=1, padding=1):
 SAME_CASES = [pytest.param(k, size, id=f"{k}-1-{k // 2}-{size}")
               for k, size in [(3, 8), (3, 9), (5, 9), (1, 8)]]
 
+# The backward's cases: (n, c, o) = (7, 4, 3) at every SAME_CASES
+# geometry, and batch 50 at the five 3x3 conv shapes of the README
+# training config, where BLAS may take other paths than at small sizes.
+BACKWARD_CASES = [pytest.param(7, 4, 3, *p.values, id=p.id)
+                  for p in SAME_CASES] + [
+    pytest.param(50, c, o, 3, size, id=f"n50-{c}-{o}-3-1-1-{size}")
+    for c, o, size in [(3, 16, 16), (16, 16, 16), (16, 16, 8), (64, 64, 4),
+                       (64, 64, 2)]]
+
 
 class TestConv2d:
     def test_identity_kernel(self):
@@ -127,12 +136,13 @@ class TestConv2d:
                             atol=tol, rtol=0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("k,size", SAME_CASES)
+    @pytest.mark.parametrize("n,c,o,k,size", BACKWARD_CASES)
     def test_backward_equals_whole_batch_reference_bit_for_bit(
-            self, rng, monkeypatch, dtype, k, size):
+            self, rng, monkeypatch, dtype, n, c, o, k, size):
         # Reference: the whole batch's [n,c,kh,kw,h,w] columns, dW from
-        # np.tensordot, dX from matmul and an explicit col2im loop.
-        n, c, o, p = 7, 4, 3, k // 2
+        # np.tensordot, dX from a per-image matmul and an explicit col2im
+        # loop.
+        p = k // 2
         x = rng.standard_normal((n, c, size, size)).astype(dtype)
         w = rng.standard_normal((o, c, k, k)).astype(dtype)
         g = rng.standard_normal((n, o, size, size)).astype(dtype)
@@ -179,6 +189,28 @@ class TestConv2d:
             tracemalloc.stop()
         assert len(tape) == 1
         assert held < col_bytes / 2
+
+    def test_backward_holds_one_column_buffer(self, rng):
+        # 64x16x16x16, 3x3: the backward's layout copies fit beside its one
+        # 9.4 MB column buffer in two padded inputs and two gradients.
+        n, c, o, s = 64, 16, 16, 16
+        x = Tensor(rng.standard_normal((n, c, s, s)).astype(np.float32))
+        x.requires_grad = True
+        w = Parameter(rng.standard_normal((o, c, 3, 3)).astype(np.float32))
+        g = rng.standard_normal((n, o, s, s)).astype(np.float32)
+        with Tape() as tape:
+            F.conv2d(x, w)
+        [(_, _, bwd)] = tape.nodes
+        col_bytes = n * s * s * c * 9 * 4
+        padded_bytes = n * c * (s + 2) * (s + 2) * 4
+        tracemalloc.start()
+        try:
+            gx, gw = bwd(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gx.shape == x.shape and gw.shape == w.shape
+        assert peak <= col_bytes + 2 * padded_bytes + 2 * g.nbytes
 
     def test_channel_mismatch_names_both_shapes(self):
         x = Tensor(np.zeros((1, 3, 4, 4)))

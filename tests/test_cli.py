@@ -506,8 +506,10 @@ class TestBadInputExitCodes:
 
     @pytest.mark.parametrize("task,name,output", [
         ("denoise", "x.pgm", "y.rct"), ("denoise", "x.rct", "y.pgm"),
-        ("classify", "x.rct", "y.pgm")],
-        ids=["denoise-pgm-to-rct", "denoise-rct-to-pgm", "classify-to-pgm"])
+        ("classify", "x.rct", "y.pgm"), ("denoise", "x.pgm", "y.png"),
+        ("classify", "x.rct", "y.png")],
+        ids=["denoise-pgm-to-rct", "denoise-rct-to-pgm", "classify-to-pgm",
+             "denoise-pgm-to-png", "classify-to-png"])
     def test_infer_output_of_the_other_format_exit_code_2(
             self, tmp_path, task, name, output, capsys):
         from rcnet.checkpoint import save_checkpoint
