@@ -57,10 +57,12 @@ class Parameter(Tensor):
     """Learnable tensor with gradient and momentum accumulators.
 
     ``is_shared`` marks weights shared across unroll steps; the optimizer
-    scales their step by its ``shared_lr_scale``.
+    scales their step by its ``shared_lr_scale``. ``adam_m`` and
+    ``adam_v`` are Adam's float64 moments, None until an Adam optimizer
+    (or an Adam checkpoint) sets them.
     """
 
-    __slots__ = ("grad", "momentum_buf", "is_shared")
+    __slots__ = ("grad", "momentum_buf", "is_shared", "adam_m", "adam_v")
 
     def __init__(self, data, is_shared: bool = False):
         super().__init__(data)
@@ -68,6 +70,7 @@ class Parameter(Tensor):
         self.grad = np.zeros_like(self.data)
         self.momentum_buf = np.zeros_like(self.data)
         self.is_shared = bool(is_shared)
+        self.adam_m = self.adam_v = None
 
     def __repr__(self) -> str:
         return f"Parameter(shape={tuple(self.shape)}, shared={self.is_shared})"

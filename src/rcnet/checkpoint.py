@@ -6,15 +6,19 @@ Layout (all little-endian):
     version u32
     hlen    u64      header length in bytes
     header  hlen     canonical JSON: format_version, spec, iteration,
-                     epoch, trained_support, rng
+                     epoch, trained_support, rng, optimizer, updates
     count   u64      number of tensors
     per tensor:
-        nlen u16, name utf-8, ndim u8, dims u32*ndim, float32 data
+        nlen u16, name utf-8, ndim u8, dims u32*ndim, data
 
 Tensor names are sorted, and the header JSON is canonical
 (sorted keys, no whitespace), so save -> load -> save is byte-identical.
-The payload is float32: double-precision networks are a verification
-mode and are refused rather than silently truncated. Non-finite values
+The payload is float32, except Adam's float64 moments (names ending in
+``.adam_m`` and ``.adam_v``): double-precision networks are a verification
+mode and are refused rather than silently truncated. Each parameter's
+optimizer state follows the header's ``optimizer``: ``<name>.momentum``
+for SGD, ``<name>.adam_m`` and ``<name>.adam_v`` for Adam, whose bias
+correction restarts from the header's ``updates``. Non-finite values
 are refused on save and on load. A save writes ``<path>.tmp`` and
 renames it over ``path``, so an interrupted save leaves the previous
 file intact.
@@ -33,19 +37,30 @@ import numpy as np
 
 from .errors import CheckpointError, NumericalCheckError
 from .networks import Network, NetworkSpec, build_network
-from .training import RngStreams
+from .optim import adam_moments
+from .training import OPTIMIZERS, RngStreams
 
 MAGIC = b"RCNETCKP"
 FORMAT_VERSION = 1
 
-_EMPTY_TRAINER_STATE = {"iteration": 0, "epoch": 0, "rng": None}
+_EMPTY_TRAINER_STATE = {"iteration": 0, "epoch": 0, "rng": None,
+                        "optimizer": "sgd", "updates": 0}
+_FLOAT64_SUFFIXES = (".adam_m", ".adam_v")
 
 
-def _tensor_table(network: Network) -> dict[str, np.ndarray]:
+def _stored_dtype(name: str) -> str:
+    return "<f8" if name.endswith(_FLOAT64_SUFFIXES) else "<f4"
+
+
+def _tensor_table(network: Network,
+                  optimizer: str = "sgd") -> dict[str, np.ndarray]:
     table: dict[str, np.ndarray] = {}
     for name, p in network.named_parameters().items():
         table[name] = p.data
-        table[f"{name}.momentum"] = p.momentum_buf
+        if optimizer == "adam":
+            table[f"{name}.adam_m"], table[f"{name}.adam_v"] = adam_moments(p)
+        else:
+            table[f"{name}.momentum"] = p.momentum_buf
     table.update(network.named_buffers())
     return table
 
@@ -69,10 +84,12 @@ def save_checkpoint(path, network: Network,
         "epoch": int(state["epoch"]),
         "trained_support": network.trained_support,
         "rng": state["rng"],
+        "optimizer": state["optimizer"],
+        "updates": int(state["updates"]),
     }
     hbytes = json.dumps(header, sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
-    table = _tensor_table(network)
+    table = _tensor_table(network, state["optimizer"])
     bad = _first_non_finite(table)
     if bad is not None:
         raise NumericalCheckError(
@@ -86,7 +103,8 @@ def save_checkpoint(path, network: Network,
             f.write(hbytes)
             f.write(struct.pack("<Q", len(table)))
             for name in sorted(table):
-                arr = np.ascontiguousarray(table[name], dtype="<f4")
+                arr = np.ascontiguousarray(table[name],
+                                           dtype=_stored_dtype(name))
                 nbytes = name.encode("utf-8")
                 f.write(struct.pack("<H", len(nbytes)))
                 f.write(nbytes)
@@ -139,20 +157,22 @@ def _read_tensors(data: bytes, offset: int, path) -> dict[str, np.ndarray]:
         shape = _unpack(f"<{ndim}I", data, offset, path,
                         f"shape of tensor '{name}'")
         offset += 4 * ndim
-        n = math.prod(shape)
-        raw = data[offset:offset + 4 * n]
-        if len(raw) != 4 * n:
+        dtype = np.dtype(_stored_dtype(name))
+        nbytes = dtype.itemsize * math.prod(shape)
+        raw = data[offset:offset + nbytes]
+        if len(raw) != nbytes:
             raise CheckpointError(
                 f"{path}: truncated payload for tensor '{name}'")
-        offset += 4 * n
-        table[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        offset += nbytes
+        table[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     if offset != len(data):
         raise CheckpointError(f"{path}: {len(data) - offset} trailing bytes")
     return table
 
 
-def _install(network: Network, table: dict[str, np.ndarray], path) -> None:
-    expected = _tensor_table(network)
+def _install(network: Network, table: dict[str, np.ndarray], path,
+             optimizer: str = "sgd") -> None:
+    expected = _tensor_table(network, optimizer)
     unknown = sorted(set(table) - set(expected))
     if unknown:
         raise CheckpointError(
@@ -175,11 +195,16 @@ def _install(network: Network, table: dict[str, np.ndarray], path) -> None:
 def _check_header_state(header: dict, max_step: int, path) -> None:
     """Raise CheckpointError unless the header's trainer state and trained
     support have the types and ranges that training writes."""
-    for key in ("iteration", "epoch"):
+    for key in ("iteration", "epoch", "updates"):
         value = header.get(key, 0)
         if type(value) is not int or value < 0:
             raise CheckpointError(
                 f"{path}: header {key} must be an integer >= 0, got {value!r}")
+    optimizer = header.get("optimizer", "sgd")
+    if optimizer not in OPTIMIZERS:
+        raise CheckpointError(
+            f"{path}: header optimizer must be one of {OPTIMIZERS}, got "
+            f"{optimizer!r}")
     rng = header.get("rng")
     if rng is not None:
         try:
@@ -217,7 +242,7 @@ def load_checkpoint(path) -> tuple[Network, dict]:
     if bad is not None:
         raise CheckpointError(f"{path}: tensor '{bad}' has non-finite values")
     network = build_network(spec, seed=0)
-    _install(network, table, path)
+    _install(network, table, path, header.get("optimizer", "sgd"))
     network.trained_support = header.get("trained_support")
     return network, {k: header.get(k, v)
                      for k, v in _EMPTY_TRAINER_STATE.items()}

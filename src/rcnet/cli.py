@@ -116,6 +116,11 @@ def cmd_train(args) -> None:
         if resume_state["rng"] is None:
             raise CheckpointError(
                 f"{args.resume}: no trainer state; cannot resume")
+        if resume_state["optimizer"] != cfg.train.optimizer:
+            raise CheckpointError(
+                f"{args.resume}: checkpoint was trained with optimizer "
+                f"'{resume_state['optimizer']}', the config sets "
+                f"'{cfg.train.optimizer}'")
         if resume_state["epoch"] >= cfg.train.epochs:
             raise ConfigError(
                 f"{args.config}: epochs = {cfg.train.epochs}, but "
@@ -144,6 +149,8 @@ def cmd_train(args) -> None:
         "iteration": log.iterations[-1].iteration,
         "epoch": cfg.train.epochs,
         "rng": log.final_rng_state,
+        "optimizer": cfg.train.optimizer,
+        "updates": log.final_updates,
     }
     save_checkpoint(out_dir / "last.ckpt", network, trainer_state)
 

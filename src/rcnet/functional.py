@@ -6,53 +6,29 @@ with k//2 zero padding, so it keeps H x W; networks downsample by pooling
 (:func:`avgpool2d`, :func:`invpool`), never by a strided convolution. It
 uses cross-correlation semantics (no kernel flip) and BLAS matmul.
 
-:func:`conv2d` has two forward paths, picked by one test: will a backward
-be recorded for this output?
+:func:`conv2d` has one kernel, ``_conv_shifted``, with three uses:
 
-- An untaped forward (eval, inference) runs ``kh`` GEMMs over ``kw``
-  width-shifted copies of the input, a partial im2col (Anderson et al.,
+- The forward, taped or not, runs ``kh`` GEMMs over ``kw`` width-shifted
+  copies of the input, a partial im2col (Anderson et al.,
   arXiv:1709.03395; Vasudevan et al., arXiv:1704.04428). The copies sit in
   a zeroed ``[m, c, kw, h + 2*ph, w]`` buffer whose padding rows and
   shifted-out columns stay zero, so kernel row ``i`` reads rows ``i`` to
   ``i + h`` of it in place as a strided ``(c*kw, h*w)`` matrix: there is no
   ``np.pad`` and no ``kh``-fold column copy. Each image's output comes from
   the same GEMMs whatever the batch, so its bits do not depend on the
-  batch.
-- A taped forward builds im2col columns, ``kh*kw`` shifted copies of the
-  input, and multiplies them by the weights in one GEMM per image. It sums
-  in another order than the untaped path, so their outputs differ in the
-  last bits. It stays on im2col because training is pinned bit for
-  bit: checkpoints and ``metrics.csv`` keep their bytes until a change of
-  summation order in training can be gated (see ROADMAP items 1 and 2).
+  batch, and a taped forward has the bits of an untaped one.
+- The input gradient is the same kernel applied to the output gradient,
+  with the weight flipped in both spatial axes and its ``o`` and ``c``
+  axes swapped.
+- The weight gradient refills the same shifted buffer from the input, one
+  chunk at a time, and adds the chunk's ``kh`` products
+  ``g @ rows_i^T`` into a ``[kh, o, c*kw]`` sum.
 
-Both forwards work one chunk of images at a time, about
-``_COL_CHUNK_BYTES`` of buffer per chunk, so each chunk is still in L2 when
-the GEMM reads it. Written for the whole batch at once, the columns of a
-wide layer (tens of MB) go out to memory and back, and the forward is
-bound by memory bandwidth rather than by the GEMM. A taped forward keeps
-only its padded input; the backward rebuilds the whole batch's columns
-once, uses them for the weight gradient and then overwrites them with the
-input gradient's columns (recomputation in place of storage, as in Chen et
-al., arXiv:1604.06174).
-
-The backward picks its layouts so that both copy loops move long runs:
-
-- The weight gradient's ``[n*h*w, c*kh*kw]`` column rows are filled from
-  a channels-last ``[n, h + 2*ph, w + 2*pw, c]`` copy of the padded input,
-  in runs of ``c`` floats rather than ``w``.
-- The input gradient runs batch innermost. The output gradient, transposed
-  once to ``[o, h, w, n]``, goes through one GEMM into
-  ``[c, kh, kw, h, w, n]`` columns; col2im adds them into a zeroed
-  ``[c, h + 2*ph, w + 2*pw, n]`` buffer in runs of ``w*n`` floats, which is
-  then cropped and transposed back.
-
-Every product and every addition is the one a per-image backward makes, in
-the same order, so the gradients keep their bits. The taped forward stays
-one GEMM per image: BLAS may sum in another order when the shape of a
-product changes, and run as one batch-wide GEMM the forward changed the
-output bits at the 64-channel shapes of the README training config. The
-batch-wide dX GEMM matched the per-image one at every shape tried, up to
-``o = 1024``; the tests pin it at the training shapes.
+The tape keeps the input itself, not a padded copy or columns
+(recomputation in place of storage, as in Chen et al., arXiv:1604.06174).
+Every use works one chunk of images at a time, about ``_COL_CHUNK_BYTES``
+of shifted copies per chunk, so each chunk is still in L2 when the GEMM
+reads it; no buffer holds the whole batch's columns.
 """
 
 from __future__ import annotations
@@ -62,15 +38,12 @@ import numpy as np
 from .autodiff import Parameter, Tensor, record, recording
 
 
-def _taped(*inputs) -> bool:
-    """Whether an op on ``inputs`` records a backward."""
-    return recording() and any(
-        t.requires_grad for t in inputs if t is not None)
-
-
 def _out(data, *inputs) -> Tensor:
+    """``data`` as the output of an op on ``inputs``; it requires a
+    gradient when the op records a backward."""
     y = Tensor(data)
-    y.requires_grad = _taped(*inputs)
+    y.requires_grad = recording() and any(
+        t.requires_grad for t in inputs if t is not None)
     return y
 
 
@@ -83,18 +56,33 @@ def _check_same_dtype(op: str, *tensors) -> None:
 # ---------------------------------------------------------------------------
 # convolution
 
-# Column (or shifted-copy) bytes per forward chunk. 256 KiB fits in the L2
-# of current server cores (256 KiB to 2 MiB) with room left for the GEMM's
-# packed weight and output panels; a chunk holds at least one image.
+# Shifted-copy bytes per conv chunk. 256 KiB fits in the L2 of current
+# server cores (256 KiB to 2 MiB) with room left for the GEMM's packed
+# weight and output panels; a chunk holds at least one image.
 _COL_CHUNK_BYTES = 256 * 1024
 
 
-def _im2col(xp: np.ndarray, cols: np.ndarray) -> None:
-    """Write the [n,c,kh,kw,h,w] columns of the padded ``xp`` into ``cols``."""
-    _, _, kh, kw, h, w = cols.shape
-    for i in range(kh):
+def _shifted_rows(x: np.ndarray, kh: int, kw: int):
+    """Yield ``(b0, b1, rows)`` for each chunk of images ``x[b0:b1]`` of
+    ``x`` [n,c,h,w]: ``rows`` [b1-b0, c*kw, (h+2*ph)*w] holds ``kw``
+    width-shifted, zero-padded copies of the chunk, so kernel row ``i``
+    reads ``rows[..., i*w : i*w + h*w]`` in place. One buffer serves every
+    chunk; it is refilled after the consumer is done with it."""
+    n, c, h, w = x.shape
+    ph, pw = kh // 2, kw // 2
+    chunk = min(n, max(1, _COL_CHUNK_BYTES // (c * kw * (h + 2 * ph) * w
+                                               * x.itemsize)))
+    # buf[:, :, j, ph + r, q] = x[:, :, r, q + j - pw]; the rest stays 0
+    buf = np.zeros((chunk, c, kw, h + 2 * ph, w), dtype=x.dtype)
+    rows = buf.reshape(chunk, c * kw, (h + 2 * ph) * w)
+    for b0 in range(0, n, chunk):
+        b1 = min(b0 + chunk, n)
+        m = b1 - b0
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + h, j:j + w]
+            d = j - pw
+            buf[:m, :, j, ph:ph + h, max(0, -d):w - max(0, d)] = \
+                x[b0:b1, :, :, max(0, d):w + min(0, d)]
+        yield b0, b1, rows[:m]
 
 
 def _conv_shifted(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -103,28 +91,39 @@ def _conv_shifted(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     of ``x``; returns [n,o,h*w]."""
     n, c, h, w = x.shape
     o, _, kh, kw = weight.shape
-    ph, pw = kh // 2, kw // 2
     hw = h * w
-    chunk = min(n, max(1, _COL_CHUNK_BYTES // (c * kw * (h + 2 * ph) * w
-                                               * x.itemsize)))
-    # buf[:, :, j, ph + r, q] = x[:, :, r, q + j - pw]; the rest stays 0
-    buf = np.zeros((chunk, c, kw, h + 2 * ph, w), dtype=x.dtype)
-    rows = buf.reshape(chunk, c * kw, (h + 2 * ph) * w)
     wrows = [weight[:, :, i].reshape(o, c * kw) for i in range(kh)]
     out = np.empty((n, o, hw), dtype=x.dtype)
-    part = np.empty((chunk, o, hw), dtype=x.dtype) if kh > 1 else None
-    for b0 in range(0, n, chunk):
-        b1 = min(b0 + chunk, n)
+    part = None
+    for b0, b1, rows in _shifted_rows(x, kh, kw):
         m = b1 - b0
-        for j in range(kw):
-            d = j - pw
-            buf[:m, :, j, ph:ph + h, max(0, -d):w - max(0, d)] = \
-                x[b0:b1, :, :, max(0, d):w + min(0, d)]
-        np.matmul(wrows[0], rows[:m, :, :hw], out=out[b0:b1])
+        np.matmul(wrows[0], rows[:, :, :hw], out=out[b0:b1])
+        if part is None and kh > 1:  # the first chunk is the largest
+            part = np.empty((m, o, hw), dtype=x.dtype)
         for i in range(1, kh):
-            np.matmul(wrows[i], rows[:m, :, i * w:i * w + hw], out=part[:m])
+            np.matmul(wrows[i], rows[:, :, i * w:i * w + hw], out=part[:m])
             out[b0:b1] += part[:m]
     return out
+
+
+def _conv_weight_grad(x: np.ndarray, g: np.ndarray, kh: int,
+                      kw: int) -> np.ndarray:
+    """Weight gradient [o,c,kh,kw] of a conv2d of ``x`` [n,c,h,w] whose
+    output has the gradient ``g`` [n,o,h,w]: per chunk of ``x``'s shifted
+    rows, kernel row ``i`` adds ``g_chunk @ rows_i^T`` into a [kh, o, c*kw]
+    sum."""
+    n, c, h, w = x.shape
+    o = g.shape[1]
+    hw = h * w
+    gm = g.reshape(n, o, hw)
+    acc = np.zeros((kh, o, c * kw), dtype=x.dtype)
+    for b0, b1, rows in _shifted_rows(x, kh, kw):
+        for i in range(kh):
+            acc[i] += np.matmul(
+                gm[b0:b1], rows[:, :, i * w:i * w + hw].transpose(0, 2, 1)
+            ).sum(axis=0)
+    return np.ascontiguousarray(
+        acc.reshape(kh, o, c, kw).transpose(1, 2, 0, 3))
 
 
 def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tensor:
@@ -147,67 +146,28 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tenso
     if bias is not None and bias.shape != (o,):
         raise ValueError(
             f"conv2d bias shape {tuple(bias.shape)} != ({o},)")
-    ph, pw = kh // 2, kw // 2
-
-    if not _taped(x, weight, bias):
-        out = _conv_shifted(x.data, weight.data).reshape(n, o, h, w)
-        if bias is not None:
-            out += bias.data.reshape(1, o, 1, 1)
-        return Tensor(out)
-
-    xp = (np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-          if ph or pw else x.data)
-    k = c * kh * kw
-    wmat = weight.data.reshape(o, k)
-    chunk = min(n, max(1, _COL_CHUNK_BYTES // (k * h * w * xp.itemsize)))
-    cols = np.empty((chunk, c, kh, kw, h, w), dtype=xp.dtype)
-    cols2 = cols.reshape(chunk, k, h * w)
-    out = np.empty((n, o, h * w), dtype=xp.dtype)
-    for b0 in range(0, n, chunk):
-        b1 = min(b0 + chunk, n)
-        _im2col(xp[b0:b1], cols[:b1 - b0])
-        np.matmul(wmat, cols2[:b1 - b0], out=out[b0:b1])
-    out = out.reshape(n, o, h, w)
+    out = _conv_shifted(x.data, weight.data).reshape(n, o, h, w)
     if bias is not None:
         out += bias.data.reshape(1, o, 1, 1)
     y = _out(out, x, weight, bias)
+    if not y.requires_grad:
+        return y
 
     need_x, need_w = x.requires_grad, weight.requires_grad
     need_b = bias is not None and bias.requires_grad
 
     def bwd(g):
         gw = gb = gx = None
-        buf = np.empty(n * h * w * k, dtype=xp.dtype)
         if need_w:
-            # Columns as [n*h*w, k] rows, copied from a channels-last xp in
-            # runs of c. This dot gets exactly the operands
-            # np.tensordot(gm, cols, ([0, 2], [0, 2])) would copy them to,
-            # so dW has the same bits as that form.
-            xt = xp.transpose(0, 2, 3, 1).copy()
-            rows = buf.reshape(n, h, w, c, kh, kw)
-            for i in range(kh):
-                for j in range(kw):
-                    rows[..., i, j] = xt[:, i:i + h, j:j + w]
-            del xt
-            gm = g.reshape(n, o, h * w)
-            gw = np.dot(gm.transpose(1, 0, 2).reshape(o, n * h * w),
-                        buf.reshape(n * h * w, k)).reshape(weight.shape)
+            gw = _conv_weight_grad(x.data, g, kh, kw)
         if need_b:
             gb = g.sum(axis=(0, 2, 3))
         if need_x:
-            # Batch innermost: one GEMM gives the [c,kh,kw,h,w,n] columns,
-            # each entry the o-long dot product a per-image matmul takes,
-            # and col2im adds them in runs of w*n.
-            gt = g.transpose(1, 2, 3, 0).reshape(o, h * w * n)
-            np.matmul(wmat.T, gt, out=buf.reshape(k, h * w * n))
-            del gt
-            cols = buf.reshape(c, kh, kw, h, w, n)
-            gxp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=xp.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, i:i + h, j:j + w] += cols[:, i, j]
-            gx = np.ascontiguousarray(
-                gxp[:, ph:ph + h, pw:pw + w].transpose(3, 0, 1, 2))
+            # the input gradient is a convolution of g with the weight
+            # flipped in both spatial axes, o and c swapped
+            flipped = np.ascontiguousarray(
+                weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+            gx = _conv_shifted(g, flipped).reshape(n, c, h, w)
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
     inputs = (x, weight, bias) if bias is not None else (x, weight)
@@ -346,7 +306,12 @@ def avgpool2d(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"avgpool2d: odd spatial extents {h}x{w}")
-    out = x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    # two pairwise adds: the bits of reshape(...).mean(axis=(3, 5)) when
+    # the output is at least 2 wide
+    d = x.data
+    out = (d[:, :, 0::2, 0::2] + d[:, :, 0::2, 1::2]) \
+        + (d[:, :, 1::2, 0::2] + d[:, :, 1::2, 1::2])
+    out *= x.dtype.type(0.25)
     y = _out(out, x)
     if y.requires_grad:
         def bwd(g):
@@ -389,7 +354,10 @@ def linear(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
         raise ValueError(
             f"linear shape mismatch: input {tuple(x.shape)}, weight "
             f"{tuple(weight.shape)}, bias {tuple(bias.shape)}")
-    y = _out(x.data @ weight.data.T + bias.data, x, weight, bias)
+    # one [1,D] x [D,K] product per row, so a row's bits do not depend on
+    # the batch it is in
+    out = np.matmul(x.data[:, None, :], weight.data.T)[:, 0]
+    y = _out(out + bias.data, x, weight, bias)
     if y.requires_grad:
         need_x = x.requires_grad
 

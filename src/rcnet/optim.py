@@ -1,5 +1,5 @@
-"""SGD with momentum, a learning-rate scale for shared weights, and global
-gradient-norm clipping."""
+"""SGD with momentum and Adam, a learning-rate scale for shared weights,
+and global gradient-norm clipping."""
 
 from __future__ import annotations
 
@@ -48,6 +48,63 @@ class SGD:
                 g = p.momentum_buf
             scale = self.shared_lr_scale if p.is_shared else 1.0
             p.data -= p.dtype.type(self.lr * scale) * g
+
+
+class Adam:
+    """Adam (Kingma & Ba, arXiv:1412.6980) with bias correction; each step
+    moves a parameter by ``lr`` times its bias-corrected m / (sqrt(v) +
+    eps), or by ``lr * shared_lr_scale`` times that when it is shared
+    across unroll steps.
+
+    The first and second moments are float64 and live on the parameters
+    (``adam_m``, ``adam_v``), as SGD's momentum does, so a checkpoint holds
+    them; ``updates`` is the number of steps already taken, for the bias
+    correction of a resumed run. Weight decay is added to the raw gradient,
+    as in SGD.
+    """
+
+    BETAS = (0.9, 0.999)
+    EPS = 1e-8
+
+    def __init__(self, params, lr: float, weight_decay: float = 0.0,
+                 shared_lr_scale: float = 1.0, updates: int = 0):
+        if not lr > 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not weight_decay >= 0:
+            raise ValueError(f"weight decay must be >= 0, got {weight_decay}")
+        if not 0.0 < shared_lr_scale <= 1.0:
+            raise ValueError(
+                f"shared_lr_scale must be in (0, 1], got {shared_lr_scale}")
+        self.params: list[Parameter] = list(params)
+        self.lr = float(lr)
+        self.weight_decay = float(weight_decay)
+        self.shared_lr_scale = float(shared_lr_scale)
+        self.t = int(updates)
+        for p in self.params:
+            adam_moments(p)
+
+    def step(self) -> None:
+        self.t += 1
+        b1, b2 = self.BETAS
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for p in self.params:
+            g = p.grad.astype(np.float64)
+            if self.weight_decay:
+                g += self.weight_decay * p.data
+            p.adam_m *= b1
+            p.adam_m += (1.0 - b1) * g
+            p.adam_v *= b2
+            p.adam_v += (1.0 - b2) * (g * g)
+            scale = self.shared_lr_scale if p.is_shared else 1.0
+            p.data -= (self.lr * scale / c1 * p.adam_m
+                       / (np.sqrt(p.adam_v / c2) + self.EPS)).astype(p.dtype)
+
+
+def adam_moments(p: Parameter) -> tuple[np.ndarray, np.ndarray]:
+    """``p``'s Adam moments, set to float64 zeros the first time."""
+    if p.adam_m is None:
+        p.adam_m, p.adam_v = np.zeros(p.shape), np.zeros(p.shape)
+    return p.adam_m, p.adam_v
 
 
 def global_grad_norm(params) -> float:

@@ -22,7 +22,7 @@ from .autodiff import Tape, Tensor, backward
 from .data import DenoiseEvalSet, LabeledDataset, psnr
 from .errors import ConfigError, NumericalCheckError
 from .networks import DENOISE_SCALE, Network, NetworkSpec
-from .optim import SGD, clip_grad_norm, global_grad_norm
+from .optim import SGD, Adam, clip_grad_norm, global_grad_norm
 from .rc import StepDistribution
 
 
@@ -45,11 +45,16 @@ class RngStreams:
             getattr(self, name).bit_generator.state = state[name]
 
 
+OPTIMIZERS = ("sgd", "adam")
+
+
 @dataclass
 class TrainConfig:
     """The [train] settings: each field is the config key of its name,
-    with its annotation's parser (int, float, bool or str) and default."""
+    with its annotation's parser (int, float, bool or str) and default.
+    ``momentum`` applies to ``optimizer = "sgd"`` only."""
 
+    optimizer: str = "sgd"
     lr: float = 0.05
     momentum: float = 0.9
     weight_decay: float = 0.0
@@ -64,6 +69,9 @@ class TrainConfig:
 
     def __post_init__(self):
         # each check is stated so that a NaN fails it
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"unknown optimizer '{self.optimizer}' "
+                              f"(expected one of {OPTIMIZERS})")
         if not self.lr >= 0:
             raise ConfigError(f"lr must be >= 0 (0 = dry run), got {self.lr}")
         if not 0.0 < self.shared_lr_scale <= 1.0:
@@ -109,6 +117,7 @@ class RunLog:
         self.iterations: list[IterationRecord] = []
         self.epochs: list[EpochRecord] = []
         self.final_rng_state: dict | None = None  # for resumable checkpoints
+        self.final_updates = 0  # optimizer updates, a resumed run's included
 
     def write_metrics_csv(self, path) -> None:
         with open(path, "w") as f:
@@ -147,10 +156,6 @@ def run_training(network: Network, train_set, test_set, cfg: TrainConfig,
 
     rngs = RngStreams(cfg.seed)
     params = network.parameters()
-    opt = (SGD(params, cfg.lr, cfg.momentum, cfg.weight_decay,
-               cfg.shared_lr_scale)
-           if cfg.lr > 0 else None)  # lr == 0: dry run, no updates
-
     log = RunLog(task.metric)
     iteration = 0
     start_epoch = 0
@@ -158,6 +163,14 @@ def run_training(network: Network, train_set, test_set, cfg: TrainConfig,
         rngs.set_state(resume_state["rng"])
         iteration = int(resume_state["iteration"])
         start_epoch = int(resume_state["epoch"])
+        log.final_updates = int(resume_state.get("updates", 0))
+    opt = None  # lr == 0: dry run, no updates
+    if cfg.lr > 0 and cfg.optimizer == "adam":
+        opt = Adam(params, cfg.lr, cfg.weight_decay, cfg.shared_lr_scale,
+                   updates=log.final_updates)
+    elif cfg.lr > 0:
+        opt = SGD(params, cfg.lr, cfg.momentum, cfg.weight_decay,
+                  cfg.shared_lr_scale)
 
     for epoch in range(start_epoch, cfg.epochs):
         inputs, targets = train_set.epoch(rngs.data, rngs.noise)
@@ -193,6 +206,7 @@ def run_training(network: Network, train_set, test_set, cfg: TrainConfig,
             post = global_grad_norm(params)
             if opt is not None:
                 opt.step()
+                log.final_updates += 1
             log.iterations.append(IterationRecord(
                 iteration, step_rec, value, pre, post))
 

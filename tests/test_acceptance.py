@@ -383,7 +383,8 @@ def test_criterion_7_denoise_desk_scale():
     zero_psnr = evaluate_denoise(zeroed, test, 2)
 
     net = build_seeded(spec, seed=0)
-    cfg = TrainConfig(lr=0.02, momentum=0.9, epochs=40, batch_size=8, seed=0,
+    cfg = TrainConfig(optimizer="adam", lr=2e-3, epochs=40, batch_size=8,
+                      seed=0,
                       step_distribution=StepDistribution.fixed(2),
                       eval_each_epoch=False)
     run_training(net, train, test, cfg, "fixed")

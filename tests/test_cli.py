@@ -361,6 +361,27 @@ class TestTrainCommand:
         assert (tmp_path / "r1" / "metrics.csv").read_bytes() == \
             (tmp_path / "r2" / "metrics.csv").read_bytes()
 
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_resume_is_bit_exact(self, tmp_path, optimizer):
+        # an epoch-1 checkpoint resumed to epoch 2 gives the bytes of the
+        # uninterrupted 2-epoch run: weights, optimizer state, metrics
+        text = TOY_CLASSIFY.replace(
+            "lr = 0.05", f"lr = 0.05\noptimizer = {optimizer}")
+        two = text.replace("epochs = 1", "epochs = 2")
+        assert run_cli(["train", "--config", write_cfg(
+            tmp_path, two, "full.ini", out=tmp_path / "full")]) == 0
+        assert run_cli(["train", "--config", write_cfg(
+            tmp_path, text, "part1.ini", out=tmp_path / "part1")]) == 0
+        assert run_cli(["train", "--config", write_cfg(
+            tmp_path, two, "part2.ini", out=tmp_path / "part2"),
+            "--resume", tmp_path / "part1" / "last.ckpt"]) == 0
+        full, part = tmp_path / "full", tmp_path / "part2"
+        assert (full / "last.ckpt").read_bytes() == \
+            (part / "last.ckpt").read_bytes()
+        rows = (part / "metrics.csv").read_text().splitlines()[1:]
+        assert (full / "metrics.csv").read_text().splitlines()[-len(rows):] \
+            == rows
+
     def test_resolved_config_replays_identically(self, tmp_path):
         cfg = write_cfg(tmp_path, TOY_CLASSIFY, out=tmp_path / "r1")
         run_cli(["train", "--config", cfg])
@@ -545,6 +566,8 @@ class TestBadInputExitCodes:
          "momentum must be in [0, 1)"),
         (TOY_CLASSIFY, "lr = 0.05", "lr = 0.05\nweight_decay = -1",
          "weight_decay must be >= 0"),
+        (TOY_CLASSIFY, "lr = 0.05", "lr = 0.05\noptimizer = foo",
+         "unknown optimizer 'foo'"),
         (TOY_CLASSIFY, "lr = 0.05", "lr = nan", "not a finite number: 'nan'"),
         (TOY_CLASSIFY, "lr = 0.05", "lr = 0.05\nclip_max_norm = nan",
          "not a finite number: 'nan'"),
@@ -569,7 +592,7 @@ class TestBadInputExitCodes:
         (TOY_CLASSIFY, "test_samples = 50", "test_samples = 0",
          "test_samples must be >= 1")],
         ids=["patch_size-0", "patch_size-neg", "widths-0", "momentum-1.5",
-             "weight_decay-neg", "lr-nan", "clip_max_norm-nan",
+             "weight_decay-neg", "optimizer-foo", "lr-nan", "clip_max_norm-nan",
              "step_probs-nan", "weight_decay-nan", "bn_eps-nan",
              "bn_momentum-nan", "bn_momentum-5", "bn_eps-neg", "sigma-0",
              "sigma-neg", "count-0", "test_count-0", "samples-0",
@@ -823,6 +846,23 @@ class TestBadInputExitCodes:
         assert run_cli(["train", "--config", cfg, "--resume", ckpt]) == 4
         assert "different network spec" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("trained_with,resumed_with",
+                             [("sgd", "adam"), ("adam", "sgd")])
+    def test_resume_under_the_other_optimizer_exit_code_4(
+            self, tmp_path, trained_with, resumed_with, capsys):
+        cfg = write_cfg(tmp_path, TOY_CLASSIFY.replace(
+            "lr = 0.05", f"lr = 0.05\noptimizer = {trained_with}"),
+            out=tmp_path / "run")
+        assert run_cli(["train", "--config", cfg]) == 0
+        again = write_cfg(tmp_path, TOY_CLASSIFY.replace(
+            "lr = 0.05", f"lr = 0.05\noptimizer = {resumed_with}").replace(
+            "epochs = 1", "epochs = 2"), "again.ini", out=tmp_path / "resumed")
+        assert run_cli(["train", "--config", again, "--resume",
+                        tmp_path / "run" / "last.ckpt"]) == 4
+        assert f"trained with optimizer '{trained_with}'" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "resumed").exists()
 
     @pytest.mark.parametrize("epochs", [2, 1], ids=["equal", "below"])
     def test_resume_with_no_epoch_left_exit_code_2(self, tmp_path, epochs,

@@ -416,3 +416,17 @@ class TestDenoiserR3:
         for i in range(len(x)):
             npt.assert_array_equal(
                 batched[i], net.forward(x[i:i + 1], 3, training=False).data[0])
+
+
+@pytest.mark.parametrize("arch", ["r2", "r4"])
+def test_classifier_eval_forward_is_batch_invariant(arch, rng):
+    # the logits of one image forwarded alone are its row of a batch of
+    # 300, bit for bit, so `infer` and `eval` agree on a near-tie
+    spec = small_spec(arch, "independent", 2)
+    net = build_seeded(spec)
+    _randomize_bn(net, rng)
+    x = rng.standard_normal((300, *spec.image_shape)).astype(np.float32)
+    batched = net.forward(x, 2, training=False).data
+    for i in range(len(x)):
+        npt.assert_array_equal(
+            batched[i], net.forward(x[i:i + 1], 2, training=False).data[0])
