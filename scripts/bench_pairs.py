@@ -1,17 +1,19 @@
 """Run perfbench in alternating parent/change pairs and record the result.
 
-    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+    python3 change/scripts/bench_pairs.py --parent parent --change change \\
         --workload train_r2 --pairs 10 --first-seed 101 --out BENCH_18.json
 
-``--parent`` and ``--change`` are the roots of two rcnet source trees. Pair
-i runs ``perfbench/run.py --workload W --seed first_seed+i --trace 0`` in
-both trees for the benchmark's ``run_seconds``, the parent first in even
-pairs and the change first in odd ones, and keeps the last JSON line of
-each run. The output file holds, per
-workload, every pair, each side's median and quartiles of every end-to-end
-metric and the number of pairs the change won on it, plus the parent's
-environment fingerprint. Running it again with another workload adds that
-workload to an existing file.
+``--parent`` and ``--change`` are the roots of two rcnet source trees,
+best sibling directories with names of equal length: ``peak_rss_mb``
+moves with the length of the directory name alone, so the script exits 2
+before running anything when the two resolved paths differ in length.
+Pair i runs ``perfbench/run.py --workload W --seed first_seed+i --trace 0``
+in both trees for the benchmark's ``run_seconds``, the parent first in
+even pairs and the change first in odd ones, and keeps the last JSON line
+of each run. The output file holds, per workload, every pair, each side's
+median and quartiles of every end-to-end metric and the number of pairs
+the change won on it, plus the parent's environment fingerprint. Running
+it again with another workload adds that workload to an existing file.
 """
 
 import argparse
@@ -66,6 +68,10 @@ def main(argv=None) -> int:
         p.error("--pairs must be at least 2")
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(str(trees["parent"])) != len(str(trees["change"])):
+        p.error("--parent and --change resolve to paths of different lengths "
+                f"({trees['parent']}, {trees['change']}); peak_rss_mb moves "
+                "with the directory name, so use names of equal length")
     pairs, fingerprint = [], None
     for i in range(args.pairs):
         seed = args.first_seed + i

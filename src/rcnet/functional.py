@@ -29,6 +29,12 @@ The tape keeps the input itself, not a padded copy or columns
 Every use works one chunk of images at a time, about ``_COL_CHUNK_BYTES``
 of shifted copies per chunk, so each chunk is still in L2 when the GEMM
 reads it; no buffer holds the whole batch's columns.
+
+:func:`batchnorm2d` is one per-channel affine map ``x*sc + (beta - mu*sc)``,
+``sc = gamma/sqrt(var + eps)``, in train and eval (Ioffe & Szegedy,
+arXiv:1502.03167); the modes differ only in where ``mu`` and ``var`` come
+from. Its backward needs only the per-channel sums of ``g`` and ``g*x``,
+accumulated in float64, so the tape keeps ``x`` and no normalized copy.
 """
 
 from __future__ import annotations
@@ -183,7 +189,8 @@ def batchnorm2d(x: Tensor, group, training: bool) -> Tensor:
 
     Train mode normalizes by the batch mean and biased variance and folds
     them into the running statistics with the group's momentum. Eval mode
-    normalizes by the running statistics and never changes them.
+    normalizes by the running statistics and never changes them. Both then
+    run one affine map and one backward.
     """
     if x.data.ndim != 4:
         raise ValueError(f"batchnorm2d expects [N,C,H,W], got {tuple(x.shape)}")
@@ -196,8 +203,8 @@ def batchnorm2d(x: Tensor, group, training: bool) -> Tensor:
     _check_same_dtype("batchnorm2d", x, gamma, beta)
     group.use_count += 1
 
+    m = n * h * w
     if training:
-        m = n * h * w
         if m < 2:
             raise ValueError(
                 "batchnorm2d: train mode needs at least 2 values per channel "
@@ -209,48 +216,34 @@ def batchnorm2d(x: Tensor, group, training: bool) -> Tensor:
         group.running_mean += mom * mu
         group.running_var *= 1.0 - mom
         group.running_var += mom * var
-        invstd = 1.0 / np.sqrt(var + x.dtype.type(group.eps))
-        xhat = (x.data - mu.reshape(1, c, 1, 1)) * invstd.reshape(1, c, 1, 1)
-        out = gamma.data.reshape(1, c, 1, 1) * xhat \
-            + beta.data.reshape(1, c, 1, 1)
     else:
-        # With fixed statistics BN is a per-channel affine map: one pass.
-        # The mean is copied for the backward, because a train-mode forward
-        # updates the running statistics in place.
-        mu = group.running_mean.copy()
-        invstd = 1.0 / np.sqrt(group.running_var + x.dtype.type(group.eps))
-        sc = gamma.data * invstd
-        out = x.data * sc.reshape(1, c, 1, 1)
-        out += (beta.data - mu * sc).reshape(1, c, 1, 1)
+        # copied for the backward: a train-mode forward updates the running
+        # statistics in place
+        mu, var = group.running_mean.copy(), group.running_var
+    invstd = 1.0 / np.sqrt(var + x.dtype.type(group.eps))
+    sc = gamma.data * invstd
+    out = x.data * sc.reshape(1, c, 1, 1)
+    out += (beta.data - mu * sc).reshape(1, c, 1, 1)
     y = _out(out, x, gamma, beta)
 
     if y.requires_grad:
         need_x = x.requires_grad
 
-        if training:
-            m = n * h * w
-
-            def bwd(g):
-                dgamma = (g * xhat).sum(axis=(0, 2, 3))
-                dbeta = g.sum(axis=(0, 2, 3))
-                dx = None
-                if need_x:
-                    dxhat = g * gamma.data.reshape(1, c, 1, 1)
-                    s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-                    s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                    dx = (dxhat - s1 / m - xhat * (s2 / m)) \
-                        * invstd.reshape(1, c, 1, 1)
-                return dx, dgamma, dbeta
-        else:
-            def bwd(g):
-                xhat = (x.data - mu.reshape(1, c, 1, 1)) \
-                    * invstd.reshape(1, c, 1, 1)
-                dgamma = (g * xhat).sum(axis=(0, 2, 3))
-                dbeta = g.sum(axis=(0, 2, 3))
-                dx = None
-                if need_x:
-                    dx = g * (gamma.data * invstd).reshape(1, c, 1, 1)
-                return dx, dgamma, dbeta
+        def bwd(g):
+            g3, x3 = g.reshape(n, c, h * w), x.data.reshape(n, c, h * w)
+            sum_g = np.einsum("nci->c", g3, dtype=np.float64)
+            sum_gx = np.einsum("nci,nci->c", g3, x3, dtype=np.float64)
+            dgamma = (sum_gx - mu * sum_g) * invstd
+            dx = None
+            if need_x:
+                dx = g * sc.reshape(1, c, 1, 1)
+                if training:
+                    # the batch statistics' own gradient: x*k1 + k0
+                    k1 = -sc * dgamma * invstd / m
+                    k0 = -sc * sum_g / m - mu * k1
+                    dx += x.data * k1.astype(x.dtype).reshape(1, c, 1, 1)
+                    dx += k0.astype(x.dtype).reshape(1, c, 1, 1)
+            return dx, dgamma.astype(x.dtype), sum_g.astype(x.dtype)
 
         record(y, (x, gamma, beta), bwd)
     return y

@@ -109,6 +109,14 @@ class CellBody:
         return CellBody(kind=self.kind, convs=convs, channels=self.channels)
 
 
+def bn(x, groups, training: bool, slot: int = 0):
+    """Normalize ``x`` with ``groups[slot]``, the groups a bank's
+    ``select`` returned; the identity when that is None (mode 'none')."""
+    if groups is None:
+        return x
+    return F.batchnorm2d(x, groups[slot], training)
+
+
 def run_cell_body(body: CellBody, x, bn_groups, training: bool):
     """One traversal of the cell body.
 
@@ -120,19 +128,14 @@ def run_cell_body(body: CellBody, x, bn_groups, training: bool):
             f"cell body '{body.kind}' needs {body.bn_slots} BN groups, "
             f"got {len(bn_groups)}")
 
-    def bn(h, slot):
-        if bn_groups is None:
-            return h
-        return F.batchnorm2d(h, bn_groups[slot], training)
-
     if body.kind == "preact_resblock":
-        h = F.relu(bn(x, 0))
+        h = F.relu(bn(x, bn_groups, training))
         h = F.conv2d(h, body.convs[0])
-        h = F.relu(bn(h, 1))
+        h = F.relu(bn(h, bn_groups, training, slot=1))
         h = F.conv2d(h, body.convs[1])
         return F.add(x, h)
     h = F.conv2d(x, body.convs[0])
-    return F.relu(bn(h, 0))
+    return F.relu(bn(h, bn_groups, training))
 
 
 class Module:
@@ -172,15 +175,6 @@ class Module:
         for name, _, g in self.named_bn_groups(prefix):
             yield f"{name}.gamma", g.gamma
             yield f"{name}.beta", g.beta
-
-
-def bn(x, bank, step: int, training: bool):
-    """Normalize ``x`` with a non-recurrent layer's group for unified step
-    ``step``; the identity when the bank has no groups (mode 'none')."""
-    groups = bank.select(step)
-    if groups is None:
-        return x
-    return F.batchnorm2d(x, groups[0], training)
 
 
 class PoolModule(Module):
@@ -228,7 +222,7 @@ class ClassifierHead(Module):
         self.bias = Parameter(np.zeros(num_classes, dtype=dtype))
 
     def apply(self, x, step, training):
-        h = F.relu(bn(x, self.bn, step, training))
+        h = F.relu(bn(x, self.bn.select(step), training))
         h = F.global_avgpool(h)
         return F.linear(h, self.weight, self.bias)
 

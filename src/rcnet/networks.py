@@ -137,7 +137,7 @@ class TransitionModule(Module):
                      if in_ch != out_ch else None)
 
     def apply(self, x, step, training):
-        h = F.relu(bn(x, self.bn1, step, training))
+        h = F.relu(bn(x, self.bn1.select(step), training))
         if self.downsample:
             h = F.avgpool2d(h)
         if self.proj is not None:
@@ -147,7 +147,7 @@ class TransitionModule(Module):
         else:
             shortcut = x
         m = F.conv2d(h, self.conv1)
-        m = F.relu(bn(m, self.bn2, step, training))
+        m = F.relu(bn(m, self.bn2.select(step), training))
         m = F.conv2d(m, self.conv2)
         return F.add(shortcut, m)
 

@@ -303,6 +303,79 @@ class TestBatchNorm:
         scale = np.abs(gamma / std * x) + np.abs(beta - mean * gamma / std)
         assert np.all(np.abs(y - want) <= rtol * np.maximum(scale, np.abs(want)))
 
+    @pytest.mark.parametrize("ratio", [0.0, 1e2, 1e4])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_accurate_at_large_offsets(self, rng, dtype, training, ratio):
+        # channels with |mean|/std = ratio, against a float64 two-pass
+        # reference x̂ = (x - μ)/σ. In float32 the output (x·sc rounds at
+        # eps·|x|) and, in train mode, the terms of the batch statistics
+        # (the batch mean is off by about eps·|mean|) may lose digits in
+        # proportion to the offset; the rest may not, which needs the
+        # per-channel sums in float64. float64 keeps criterion 1's 1e-10.
+        n, c, h, w = 8, 4, 6, 6
+        std = rng.uniform(0.5, 2.0, c)
+        mean = ratio * std * rng.choice([-1.0, 1.0], c)
+        x = (mean.reshape(1, c, 1, 1) + std.reshape(1, c, 1, 1)
+             * rng.standard_normal((n, c, h, w))).astype(dtype)
+        gout = rng.standard_normal((n, c, h, w)).astype(dtype)
+        grp = BnGroup.create(c, dtype)
+        grp.gamma.data[...] = rng.normal(1.0, 0.5, c)
+        grp.beta.data[...] = rng.normal(0.0, 1.0, c)
+        grp.running_mean[...] = mean
+        grp.running_var[...] = std ** 2
+        x64, g64 = x.astype(np.float64), gout.astype(np.float64)
+        if training:
+            mu, var = x64.mean(axis=(0, 2, 3)), x64.var(axis=(0, 2, 3))
+        else:
+            mu = grp.running_mean.astype(np.float64)
+            var = grp.running_var.astype(np.float64)
+        shape = (1, c, 1, 1)
+        sigma = np.sqrt(var + grp.eps).reshape(shape)
+        gamma = grp.gamma.data.astype(np.float64).reshape(shape)
+        xhat = (x64 - mu.reshape(shape)) / sigma
+        dxhat = g64 * gamma
+        if training:
+            dx = (dxhat - dxhat.mean(axis=(0, 2, 3), keepdims=True)
+                  - xhat * (dxhat * xhat).mean(axis=(0, 2, 3),
+                                               keepdims=True)) / sigma
+        else:
+            dx = dxhat / sigma
+        want = {"y": gamma * xhat + grp.beta.data.astype(np.float64)
+                .reshape(shape),
+                "dx": dx, "dgamma": (g64 * xhat).sum(axis=(0, 2, 3)),
+                "dbeta": g64.sum(axis=(0, 2, 3))}
+
+        xt = Tensor(x)
+        xt.requires_grad = True
+        with Tape() as tape:
+            y = F.batchnorm2d(xt, grp, training)
+        [(_, _, bwd)] = tape.nodes
+        got = dict(zip(want, (y.data, *bwd(gout))))
+        for name, value in got.items():
+            grows = name == "y" or (training and name in ("dx", "dgamma"))
+            bound = (4 * np.finfo(np.float32).eps * (1 + grows * ratio)
+                     if dtype == np.float32 else 1e-10)
+            assert value.dtype == dtype, name
+            err = np.abs(value - want[name]).max() / np.abs(want[name]).max()
+            assert err <= bound, (name, err)
+
+    def test_tape_keeps_no_normalized_copy(self, rng):
+        # after a taped train forward the tape holds the output and x
+        # itself (allocated before tracing), never an activation-sized x̂
+        x = Tensor(rng.standard_normal((50, 16, 16, 16)).astype(np.float32))
+        x.requires_grad = True
+        grp = BnGroup.create(16, np.float32)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                y = F.batchnorm2d(x, grp, training=True)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape.nodes) == 1
+        assert retained <= y.data.nbytes + 64 * 1024
+
 
 class TestSimpleOps:
     def test_relu(self):
