@@ -54,23 +54,26 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Learnable tensor with gradient and momentum accumulators.
+    """Learnable tensor with a gradient accumulator.
 
     ``is_shared`` marks weights shared across unroll steps; the optimizer
-    scales their step by its ``shared_lr_scale``. ``adam_m`` and
-    ``adam_v`` are Adam's float64 moments, None until an Adam optimizer
-    (or an Adam checkpoint) sets them.
+    scales their step by its ``shared_lr_scale``. ``state`` maps the name
+    of each optimizer buffer to its array; the update rules in ``optim``
+    declare and create them. A deep copy holds a copy of the value and
+    keeps ``is_shared``, with a zero gradient and no state.
     """
 
-    __slots__ = ("grad", "momentum_buf", "is_shared", "adam_m", "adam_v")
+    __slots__ = ("grad", "is_shared", "state")
 
     def __init__(self, data, is_shared: bool = False):
         super().__init__(data)
         self.requires_grad = True
         self.grad = np.zeros_like(self.data)
-        self.momentum_buf = np.zeros_like(self.data)
         self.is_shared = bool(is_shared)
-        self.adam_m = self.adam_v = None
+        self.state: dict[str, np.ndarray] = {}
+
+    def __deepcopy__(self, memo) -> "Parameter":
+        return Parameter(self.data.copy(), self.is_shared)
 
     def __repr__(self) -> str:
         return f"Parameter(shape={tuple(self.shape)}, shared={self.is_shared})"

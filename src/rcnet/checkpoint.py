@@ -13,15 +13,15 @@ Layout (all little-endian):
 
 Tensor names are sorted, and the header JSON is canonical
 (sorted keys, no whitespace), so save -> load -> save is byte-identical.
-The payload is float32, except Adam's float64 moments (names ending in
-``.adam_m`` and ``.adam_v``): double-precision networks are a verification
-mode and are refused rather than silently truncated. Each parameter's
-optimizer state follows the header's ``optimizer``: ``<name>.momentum``
-for SGD, ``<name>.adam_m`` and ``<name>.adam_v`` for Adam, whose bias
-correction restarts from the header's ``updates``. Non-finite values
-are refused on save and on load. A save writes ``<path>.tmp`` and
-renames it over ``path``, so an interrupted save leaves the previous
-file intact.
+The payload is float32, except the optimizer buffers that ``optim``
+declares float64 (Adam's moments): double-precision networks are a
+verification mode and are refused rather than silently truncated. Each
+parameter's optimizer state is the buffers that the header
+``optimizer``'s update rule declares in its ``STATE``, stored as
+``<name>.<key>``; Adam's bias correction restarts from the header's
+``updates``. Non-finite values are refused on save and on load. A save
+writes ``<path>.tmp`` and renames it over ``path``, so an interrupted
+save leaves the previous file intact.
 """
 
 from __future__ import annotations
@@ -37,15 +37,17 @@ import numpy as np
 
 from .errors import CheckpointError, NumericalCheckError
 from .networks import Network, NetworkSpec, build_network
-from .optim import adam_moments
-from .training import OPTIMIZERS, RngStreams
+from .optim import OPTIMIZERS, state_buffers
+from .training import RngStreams
 
 MAGIC = b"RCNETCKP"
 FORMAT_VERSION = 1
 
 _EMPTY_TRAINER_STATE = {"iteration": 0, "epoch": 0, "rng": None,
                         "optimizer": "sgd", "updates": 0}
-_FLOAT64_SUFFIXES = (".adam_m", ".adam_v")
+_FLOAT64_SUFFIXES = tuple(f".{key}" for rule in OPTIMIZERS.values()
+                          for key, dtype in rule.STATE.items()
+                          if dtype == np.float64)
 
 
 def _stored_dtype(name: str) -> str:
@@ -57,10 +59,8 @@ def _tensor_table(network: Network,
     table: dict[str, np.ndarray] = {}
     for name, p in network.named_parameters().items():
         table[name] = p.data
-        if optimizer == "adam":
-            table[f"{name}.adam_m"], table[f"{name}.adam_v"] = adam_moments(p)
-        else:
-            table[f"{name}.momentum"] = p.momentum_buf
+        for key, buf in state_buffers(p, OPTIMIZERS[optimizer]).items():
+            table[f"{name}.{key}"] = buf
     table.update(network.named_buffers())
     return table
 
@@ -200,10 +200,10 @@ def _check_header_state(header: dict, max_step: int, path) -> None:
         if type(value) is not int or value < 0:
             raise CheckpointError(
                 f"{path}: header {key} must be an integer >= 0, got {value!r}")
-    optimizer = header.get("optimizer", "sgd")
-    if optimizer not in OPTIMIZERS:
+    optimizer, names = header.get("optimizer", "sgd"), tuple(OPTIMIZERS)
+    if optimizer not in names:  # a tuple: a JSON list is unhashable
         raise CheckpointError(
-            f"{path}: header optimizer must be one of {OPTIMIZERS}, got "
+            f"{path}: header optimizer must be one of {names}, got "
             f"{optimizer!r}")
     rng = header.get("rng")
     if rng is not None:

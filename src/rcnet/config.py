@@ -288,6 +288,9 @@ def build_datasets(cfg: ExperimentConfig):
             noise=da.pattern_noise)
         return train, test
     if da.kind == "cifar10":
+        if not Path(da.path).is_dir():  # one file: train set = test set
+            raise DataError(f"cannot read CIFAR shards from {da.path}: not "
+                            f"a directory of train and test shards")
         return load_cifar10(da.path, "train"), load_cifar10(da.path, "test")
     if da.kind == "synthetic_denoise":
         clean_train = make_synthetic_textures(

@@ -251,7 +251,7 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
 # PGM (binary, P5)
 
 def read_pgm(path) -> np.ndarray:
-    """Read an 8-bit binary PGM into a float32 [H,W] array (0..255)."""
+    """Read an 8-bit (maxval 255) binary PGM into a float32 [H,W] array."""
     try:
         data = Path(path).read_bytes()
     except OSError as e:
@@ -276,8 +276,9 @@ def read_pgm(path) -> np.ndarray:
             raise DataError(f"{path}: malformed PGM header near byte {start}")
         fields.append(int(token))
     width, height, maxval = fields
-    if maxval > 255:
-        raise DataError(f"{path}: 16-bit PGM (maxval {maxval}) not supported")
+    if maxval != 255:
+        raise DataError(f"{path}: PGM maxval {maxval} not supported "
+                        f"(8-bit PGMs have maxval 255)")
     pos += 1  # single whitespace after maxval
     pixels = data[pos:pos + width * height]
     if len(pixels) != width * height:

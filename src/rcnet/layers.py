@@ -41,7 +41,8 @@ class BnGroup:
     """One batch-normalization parameter set for C channels.
 
     ``use_count`` is a diagnostics counter bumped on every application;
-    it is not serialized.
+    it is not serialized. A deep copy keeps the running statistics and
+    ``use_count``; nothing reads the count on an expansion's copies.
     """
 
     gamma: Parameter
@@ -68,18 +69,6 @@ class BnGroup:
             momentum=momentum,
         )
 
-    def copy(self) -> "BnGroup":
-        """Value copy with fresh parameters (nothing aliased)."""
-        g = BnGroup(
-            gamma=Parameter(self.gamma.data.copy()),
-            beta=Parameter(self.beta.data.copy()),
-            running_mean=self.running_mean.copy(),
-            running_var=self.running_var.copy(),
-            eps=self.eps,
-            momentum=self.momentum,
-        )
-        return g
-
 
 @dataclass
 class CellBody:
@@ -102,11 +91,6 @@ class CellBody:
         convs = [he_conv(rng, channels, channels, 3, dtype, is_shared=True)
                  for _ in range(n_convs)]
         return CellBody(kind=kind, convs=convs, channels=channels)
-
-    def copy_untied(self) -> "CellBody":
-        """Independent value copy; copies are not marked shared."""
-        convs = [Parameter(w.data.copy()) for w in self.convs]
-        return CellBody(kind=self.kind, convs=convs, channels=self.channels)
 
 
 def bn(x, groups, training: bool, slot: int = 0):

@@ -1,5 +1,11 @@
 """SGD with momentum and Adam, a learning-rate scale for shared weights,
-and global gradient-norm clipping."""
+and global gradient-norm clipping.
+
+Each update rule declares its per-parameter buffers in ``STATE`` (name ->
+dtype; None = the parameter's own). They live in ``Parameter.state``, so
+they outlive the optimizer, and a checkpoint stores each as
+``<parameter>.<name>``.
+"""
 
 from __future__ import annotations
 
@@ -10,22 +16,27 @@ import numpy as np
 from .autodiff import Parameter
 
 
-class SGD:
-    """Momentum SGD; each step moves a parameter by ``lr``, or by
-    ``lr * shared_lr_scale`` when it is shared across unroll steps.
+def state_buffers(p: Parameter, rule) -> dict[str, np.ndarray]:
+    """``p``'s buffers for the update rule ``rule`` (one with ``STATE``); a
+    missing one is created as zeros, and one already there, such as one a
+    checkpoint loaded, is kept."""
+    for key, dtype in rule.STATE.items():
+        if key not in p.state:
+            p.state[key] = np.zeros(p.shape, dtype or p.dtype)
+    return {key: p.state[key] for key in rule.STATE}
 
-    Weight decay is added to the raw gradient before the momentum update,
-    so it acts on every parameter each step (including BN groups that the
-    sampled steps never touch; group-isolation guarantees assume
-    weight_decay = 0).
-    """
 
-    def __init__(self, params, lr: float, momentum: float = 0.0,
-                 weight_decay: float = 0.0, shared_lr_scale: float = 1.0):
+class _UpdateRule:
+    """The settings every rule checks, and a parameter's step size: ``lr``,
+    or ``lr * shared_lr_scale`` when it is shared across unroll steps.
+    Weight decay is added to the raw gradient, so it acts on every
+    parameter each step (including BN groups that the sampled steps never
+    touch; group-isolation guarantees assume weight_decay = 0)."""
+
+    def __init__(self, params, lr: float, weight_decay: float,
+                 shared_lr_scale: float):
         if not lr > 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         if not weight_decay >= 0:
             raise ValueError(f"weight decay must be >= 0, got {weight_decay}")
         if not 0.0 < shared_lr_scale <= 1.0:
@@ -33,9 +44,24 @@ class SGD:
                 f"shared_lr_scale must be in (0, 1], got {shared_lr_scale}")
         self.params: list[Parameter] = list(params)
         self.lr = float(lr)
-        self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
         self.shared_lr_scale = float(shared_lr_scale)
+
+    def _lr(self, p: Parameter) -> float:
+        return self.lr * (self.shared_lr_scale if p.is_shared else 1.0)
+
+
+class SGD(_UpdateRule):
+    """Momentum SGD; the ``momentum`` buffer has the parameter's dtype."""
+
+    STATE = {"momentum": None}
+
+    def __init__(self, params, lr: float, momentum: float = 0.0,
+                 weight_decay: float = 0.0, shared_lr_scale: float = 1.0):
+        if not 0.0 <= momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+        super().__init__(params, lr, weight_decay, shared_lr_scale)
+        self.momentum = float(momentum)
 
     def step(self) -> None:
         for p in self.params:
@@ -43,45 +69,27 @@ class SGD:
             if self.weight_decay:
                 g = g + p.dtype.type(self.weight_decay) * p.data
             if self.momentum:
-                p.momentum_buf *= p.dtype.type(self.momentum)
-                p.momentum_buf += g
-                g = p.momentum_buf
-            scale = self.shared_lr_scale if p.is_shared else 1.0
-            p.data -= p.dtype.type(self.lr * scale) * g
+                buf = state_buffers(p, self)["momentum"]
+                buf *= p.dtype.type(self.momentum)
+                buf += g
+                g = buf
+            p.data -= p.dtype.type(self._lr(p)) * g
 
 
-class Adam:
-    """Adam (Kingma & Ba, arXiv:1412.6980) with bias correction; each step
-    moves a parameter by ``lr`` times its bias-corrected m / (sqrt(v) +
-    eps), or by ``lr * shared_lr_scale`` times that when it is shared
-    across unroll steps.
+class Adam(_UpdateRule):
+    """Adam (Kingma & Ba, arXiv:1412.6980) with float64 moments: a step
+    moves a parameter by its step size times the bias-corrected
+    m / (sqrt(v) + eps). ``updates`` is the number of steps already taken,
+    for the bias correction of a resumed run."""
 
-    The first and second moments are float64 and live on the parameters
-    (``adam_m``, ``adam_v``), as SGD's momentum does, so a checkpoint holds
-    them; ``updates`` is the number of steps already taken, for the bias
-    correction of a resumed run. Weight decay is added to the raw gradient,
-    as in SGD.
-    """
-
+    STATE = {"adam_m": np.float64, "adam_v": np.float64}
     BETAS = (0.9, 0.999)
     EPS = 1e-8
 
     def __init__(self, params, lr: float, weight_decay: float = 0.0,
                  shared_lr_scale: float = 1.0, updates: int = 0):
-        if not lr > 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if not weight_decay >= 0:
-            raise ValueError(f"weight decay must be >= 0, got {weight_decay}")
-        if not 0.0 < shared_lr_scale <= 1.0:
-            raise ValueError(
-                f"shared_lr_scale must be in (0, 1], got {shared_lr_scale}")
-        self.params: list[Parameter] = list(params)
-        self.lr = float(lr)
-        self.weight_decay = float(weight_decay)
-        self.shared_lr_scale = float(shared_lr_scale)
+        super().__init__(params, lr, weight_decay, shared_lr_scale)
         self.t = int(updates)
-        for p in self.params:
-            adam_moments(p)
 
     def step(self) -> None:
         self.t += 1
@@ -91,20 +99,17 @@ class Adam:
             g = p.grad.astype(np.float64)
             if self.weight_decay:
                 g += self.weight_decay * p.data
-            p.adam_m *= b1
-            p.adam_m += (1.0 - b1) * g
-            p.adam_v *= b2
-            p.adam_v += (1.0 - b2) * (g * g)
-            scale = self.shared_lr_scale if p.is_shared else 1.0
-            p.data -= (self.lr * scale / c1 * p.adam_m
-                       / (np.sqrt(p.adam_v / c2) + self.EPS)).astype(p.dtype)
+            m, v = state_buffers(p, self).values()
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            p.data -= (self._lr(p) / c1 * m
+                       / (np.sqrt(v / c2) + self.EPS)).astype(p.dtype)
 
 
-def adam_moments(p: Parameter) -> tuple[np.ndarray, np.ndarray]:
-    """``p``'s Adam moments, set to float64 zeros the first time."""
-    if p.adam_m is None:
-        p.adam_m, p.adam_v = np.zeros(p.shape), np.zeros(p.shape)
-    return p.adam_m, p.adam_v
+# the update rule of each [train] optimizer, by name
+OPTIMIZERS = {"sgd": SGD, "adam": Adam}
 
 
 def global_grad_norm(params) -> float:

@@ -9,6 +9,7 @@ cell; banks therefore only ever need the lower-triangular addresses
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +113,7 @@ class BnBank:
         groups = self.select(step, index)
         bank = BnBank("shared" if groups else "none", 1, self.slots,
                       self.channels)
-        bank.groups = [[g.copy() for g in groups]] if groups else []
+        bank.groups = [copy.deepcopy(groups)] if groups else []
         return bank
 
 
@@ -159,11 +160,14 @@ class RcCell(Module):
 
     def untie(self, step: int) -> list:
         """One one-step cell per depth j, holding value copies of the conv
-        weights and of the step-j BN groups, plus the pool the unroll
-        runs after depth ``pool_at(step)``."""
+        weights, not marked shared, and of the step-j BN groups, plus the
+        pool the unroll runs after depth ``pool_at(step)``."""
         mods: list = []
         for j in range(1, step + 1):
-            depth = RcCell(self.body.copy_untied(), self.bank.untie(step, j))
+            body = copy.deepcopy(self.body)
+            for w in body.convs:
+                w.is_shared = False
+            depth = RcCell(body, self.bank.untie(step, j))
             mods.append((f".depth{j}", depth))
             if j == self.pool_at(step):
                 mods.append((f".pool{j}", PoolModule("avgpool2d")))

@@ -22,7 +22,7 @@ from .autodiff import Tape, Tensor, backward
 from .data import DenoiseEvalSet, LabeledDataset, psnr
 from .errors import ConfigError, NumericalCheckError
 from .networks import DENOISE_SCALE, Network, NetworkSpec
-from .optim import SGD, Adam, clip_grad_norm, global_grad_norm
+from .optim import OPTIMIZERS, SGD, Adam, clip_grad_norm, global_grad_norm
 from .rc import StepDistribution
 
 
@@ -43,9 +43,6 @@ class RngStreams:
     def set_state(self, state: dict) -> None:
         for name in self.NAMES:
             getattr(self, name).bit_generator.state = state[name]
-
-
-OPTIMIZERS = ("sgd", "adam")
 
 
 @dataclass
@@ -71,7 +68,7 @@ class TrainConfig:
         # each check is stated so that a NaN fails it
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer '{self.optimizer}' "
-                              f"(expected one of {OPTIMIZERS})")
+                              f"(expected one of {tuple(OPTIMIZERS)})")
         if not self.lr >= 0:
             raise ConfigError(f"lr must be >= 0 (0 = dry run), got {self.lr}")
         if not 0.0 < self.shared_lr_scale <= 1.0:

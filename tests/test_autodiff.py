@@ -573,7 +573,7 @@ class TestOptimizer:
         Adam([shared, plain], lr=0.1, shared_lr_scale=0.5).step()
         npt.assert_allclose(plain.data, [0.9, 1.1], rtol=1e-7)
         npt.assert_allclose(shared.data, [0.95, 1.05], rtol=1e-7)
-        assert plain.adam_m.dtype == plain.adam_v.dtype == np.float64
+        assert plain.state["adam_m"].dtype == plain.state["adam_v"].dtype == np.float64
 
     def test_adam_resumed_from_its_step_count_is_bit_exact(self, rng):
         grads = rng.standard_normal((3, 5)).astype(np.float32)
@@ -588,7 +588,7 @@ class TestOptimizer:
             Adam([b], lr=0.01, weight_decay=0.1, updates=t).step()
         assert a.data.dtype == np.float32
         npt.assert_array_equal(a.data, b.data)
-        npt.assert_array_equal(a.adam_v, b.adam_v)
+        npt.assert_array_equal(a.state["adam_v"], b.state["adam_v"])
 
     def test_clip_halves_at_double_norm(self):
         p = Parameter(np.zeros(2))

@@ -789,6 +789,7 @@ class TestBadInputExitCodes:
         ("cifar-shard-is-dir", 3), ("infer-output-in-missing-dir", 2),
         ("export-bn-out-in-missing-dir", 2), ("eval-out-dir-is-file", 2),
         ("cost-out-dir-is-file", 2), ("export-features-out-dir-is-file", 2),
+        ("cifar-path-is-a-file", 3),
         ("train-out-dir-under-file", 2)])
     def test_unreadable_shard_or_unwritable_output_exit_code(
             self, trained, tmp_path, what, code):
@@ -806,8 +807,15 @@ class TestBadInputExitCodes:
         cifar_cfg = write_cfg(tmp_path, TOY_CLASSIFY.replace(
             "kind = synthetic_classify", f"kind = cifar10\npath = {cifar}"),
             "cifar.ini", out=tmp_path / "run")
+        # one readable 20-record shard, which would be train and test set
+        (tmp_path / "one.bin").write_bytes(bytes(20 * 3073))
+        one_cfg = write_cfg(tmp_path, TOY_CLASSIFY.replace(
+            "kind = synthetic_classify",
+            f"kind = cifar10\npath = {tmp_path / 'one.bin'}"),
+            "one.ini", out=tmp_path / "run")
         args = {
             "cifar-shard-is-dir": ["train", "--config", cifar_cfg],
+            "cifar-path-is-a-file": ["train", "--config", one_cfg],
             "infer-output-in-missing-dir": [
                 "infer", "--checkpoint", ckpt, "--input", x, "--step", "3",
                 "--output", missing / "y.rct"],

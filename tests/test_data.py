@@ -1,5 +1,7 @@
 """Dataset loaders, noise statistics, image formats, and checkpoints."""
 
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,6 +17,8 @@ from rcnet.data import (DenoiseSet, add_gaussian_noise, load_cifar10,
                         psnr, read_pgm, read_rct, write_pgm, write_rct)
 from rcnet.errors import (CheckpointError, DataError, NumericalCheckError,
                           RcnetError)
+from rcnet.networks import NetworkSpec, build_network
+from rcnet.optim import SGD, Adam
 
 
 def linear_probe_error(ds, iters=300, lr=0.5):
@@ -249,6 +253,15 @@ class TestPgm:
         with pytest.raises(DataError, match="pixel bytes"):
             read_pgm(p)
 
+    @pytest.mark.parametrize("maxval", [15, 0, 65535])
+    def test_maxval_other_than_255_rejected(self, tmp_path, maxval):
+        # a maxval-15 file stores white as 15, near-black on 0..255; the
+        # 4 bytes are 2 pixels at 2 bytes each when maxval > 255
+        p = tmp_path / "m.pgm"
+        p.write_bytes(b"P5\n2 1\n%d\n" % maxval + bytes(4))
+        with pytest.raises(DataError, match=f"maxval {maxval} "):
+            read_pgm(p)
+
     def test_overlong_header_number_rejected(self, tmp_path):
         p = tmp_path / "long.pgm"
         p.write_bytes(b"P5\n" + b"1" * 5000 + b" 1\n255\n")
@@ -282,12 +295,55 @@ class TestRct:
             read_rct(p)
 
 
+# SHA-256 of the checkpoints that ``_patterned_r4`` saves without an
+# optimizer and after one SGD or Adam step; the values are elementwise
+# float arithmetic (no BLAS), so the hashes hold on any machine
+PINNED_CHECKPOINT_SHA256 = {
+    None: "2f1e6cf5b1df508c360a6550d26ec65e72ddeef305c0e3c8efedaab784c33a33",
+    "sgd": "23e4074736045ecd62bd912462c77cf37b546be14714a40f0f9f35ab5ae441e3",
+    "adam": "3b79caf385cbb6710065e0b0f3d16e79f63ff549764b8c3289e5ecb67935f60d",
+}
+
+
+def _patterned_r4():
+    """A small double-independent r4 (stem, transitions, cells and head)
+    whose parameters and gradients are fixed ramps, not RNG draws."""
+    net = build_network(NetworkSpec(
+        arch="r4", task="classify", bn_mode="double_independent",
+        max_step=2, widths=(4, 8, 16, 32), image_shape=(3, 8, 8),
+        num_classes=3))
+    for p in net.parameters():
+        p.data[...] = np.linspace(-1.0, 1.0, p.size).reshape(p.shape)
+        p.grad[...] = np.linspace(0.5, -0.25, p.size).reshape(p.shape)
+    return net
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("optimizer", [None, "sgd", "adam"])
+    def test_bytes_are_pinned(self, tmp_path, optimizer):
+        net = _patterned_r4()
+        state = None
+        if optimizer == "sgd":
+            SGD(net.parameters(), 0.1, momentum=0.9, weight_decay=0.01,
+                shared_lr_scale=0.5).step()
+        elif optimizer == "adam":
+            Adam(net.parameters(), 0.01, weight_decay=0.01,
+                 shared_lr_scale=0.5).step()
+        if optimizer:
+            state = {"iteration": 1, "epoch": 1, "optimizer": optimizer,
+                     "updates": 1}
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(a, net, state)
+        assert hashlib.sha256(a.read_bytes()).hexdigest() == \
+            PINNED_CHECKPOINT_SHA256[optimizer]
+        save_checkpoint(b, *load_checkpoint(a))
+        assert a.read_bytes() == b.read_bytes()
+
     def test_roundtrip_bit_exact_and_resave_identical(self, tmp_path):
         net = build_seeded(small_r2_spec(bn_mode="double_independent"))
         # make the state non-trivial
         for p in net.parameters():
-            p.momentum_buf[...] = 0.25
+            p.state["momentum"] = np.full_like(p.data, 0.25)
         state = {"iteration": 7, "epoch": 2, "rng": None}
         a = tmp_path / "a.ckpt"
         save_checkpoint(a, net, state)

@@ -1,5 +1,7 @@
 """Cell-body semantics, BN-group accounting, and stem/head layers."""
 
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -130,7 +132,7 @@ class TestStemHead:
 class TestBnGroupCopy:
     def test_copy_is_deep(self):
         g = BnGroup.create(3, np.float64)
-        c = g.copy()
+        c = copy.deepcopy(g)
         c.gamma.data[...] = 9.0
         c.running_mean[...] = 5.0
         npt.assert_array_equal(g.gamma.data, np.ones(3))

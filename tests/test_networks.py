@@ -13,6 +13,7 @@ from rcnet.autodiff import Tape, Tensor, backward
 from rcnet import functional as F
 from rcnet.networks import (NetworkSpec, build_network, cost_report,
                             expand_to_standard)
+from rcnet.optim import SGD, Adam
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -321,6 +322,37 @@ def test_expansion_equivalence(arch, mode, step, rng):
     for name, p in net.named_parameters().items():
         if name in eparams:
             npt.assert_allclose(p.grad, eparams[name].grad, atol=1e-10, rtol=0)
+
+
+@pytest.mark.parametrize("arch", ["r2", "r4"])
+@pytest.mark.parametrize("step", [1, 3])
+def test_expansion_starts_clean(arch, step, rng):
+    """Every parameter of an expansion (stem, transitions, cells and head)
+    holds a value and nothing else: a zero gradient, no optimizer state,
+    not shared. The source keeps its values, gradients and buffers."""
+    net = build_seeded(small_spec(arch, "double_independent", 3))
+    params = net.parameters()
+    for p in params:
+        p.grad[...] = rng.standard_normal(p.shape)
+    SGD(params, 0.1, momentum=0.9).step()
+    Adam(params, 0.01).step()
+    before = {name: (p.data.copy(), p.grad.copy(),
+                     {k: b.copy() for k, b in p.state.items()})
+              for name, p in net.named_parameters().items()}
+    stats = {name: b.copy() for name, b in net.named_buffers().items()}
+
+    exp = expand_to_standard(net, step)
+    for name, p in exp.named_parameters().items():
+        assert not p.grad.any() and p.state == {} and not p.is_shared, name
+    for name, p in net.named_parameters().items():
+        data, grad, state = before[name]
+        npt.assert_array_equal(p.data, data)
+        npt.assert_array_equal(p.grad, grad)
+        assert sorted(p.state) == ["adam_m", "adam_v", "momentum"]
+        for key, buf in state.items():
+            npt.assert_array_equal(p.state[key], buf)
+    for name, b in net.named_buffers().items():
+        npt.assert_array_equal(b, stats[name])
 
 
 class TestExpansion:
