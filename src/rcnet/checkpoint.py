@@ -77,6 +77,7 @@ def save_checkpoint(path, network: Network,
             "checkpoints store float32 tensors; a "
             f"{network.spec.precision} network cannot be checkpointed")
     state = {**_EMPTY_TRAINER_STATE, **(trainer_state or {})}
+    _check_optimizer(state["optimizer"], f"not writing {path}: trainer_state")
     header = {
         "format_version": FORMAT_VERSION,
         "spec": asdict(network.spec),
@@ -192,6 +193,14 @@ def _install(network: Network, table: dict[str, np.ndarray], path,
         dst[...] = src
 
 
+def _check_optimizer(optimizer, where: str) -> None:
+    """Raise CheckpointError unless ``optimizer`` names an update rule."""
+    names = tuple(OPTIMIZERS)
+    if optimizer not in names:  # a tuple: a JSON list is unhashable
+        raise CheckpointError(f"{where} optimizer must be one of {names}, "
+                              f"got {optimizer!r}")
+
+
 def _check_header_state(header: dict, max_step: int, path) -> None:
     """Raise CheckpointError unless the header's trainer state and trained
     support have the types and ranges that training writes."""
@@ -200,11 +209,7 @@ def _check_header_state(header: dict, max_step: int, path) -> None:
         if type(value) is not int or value < 0:
             raise CheckpointError(
                 f"{path}: header {key} must be an integer >= 0, got {value!r}")
-    optimizer, names = header.get("optimizer", "sgd"), tuple(OPTIMIZERS)
-    if optimizer not in names:  # a tuple: a JSON list is unhashable
-        raise CheckpointError(
-            f"{path}: header optimizer must be one of {names}, got "
-            f"{optimizer!r}")
+    _check_optimizer(header.get("optimizer", "sgd"), f"{path}: header")
     rng = header.get("rng")
     if rng is not None:
         try:

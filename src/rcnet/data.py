@@ -104,7 +104,8 @@ class DenoiseSet:
 
 @dataclass
 class DenoiseEvalSet:
-    """Evaluation-side denoise data: pairs with frozen noise."""
+    """Evaluation-side denoise data: pairs with frozen noise, all of one
+    [C,H,W] shape (the evaluator forwards them stacked)."""
 
     pairs: list[DenoisePair]
 
@@ -178,16 +179,23 @@ def make_synthetic_classification(num_classes: int, samples: int,
     amps = rng.uniform(0.3, 0.6, size=samples)
 
     yy, xx = np.mgrid[0:image_size, 0:image_size].astype(np.float64)
-    proj = (np.cos(angles)[:, None, None] * xx[None]
-            + np.sin(angles)[:, None, None] * yy[None])
     cycles = 3.0
-    pattern = amps[:, None, None] * np.sin(
-        2.0 * np.pi * cycles * proj / image_size + phases[:, None, None])
-    # in place, so one float64 array of the full set is alive, not four
-    imgs = rng.standard_normal((samples, channels, image_size, image_size))
-    imgs *= noise
-    imgs += 0.5 + pattern[:, None, :, :]
-    imgs = np.clip(imgs, 0.0, 1.0, out=imgs).astype(np.float32)
+    shape = (channels, image_size, image_size)
+    imgs = np.empty((samples, *shape), dtype=np.float32)
+    # about 1 MiB of float64 noise at a time; the noise is drawn chunk
+    # after chunk, which gives the numbers of one draw of the whole set
+    chunk = max(1, (1 << 20) // (8 * math.prod(shape)))
+    for lo in range(0, samples, chunk):
+        part = slice(lo, lo + chunk)
+        proj = (np.cos(angles[part])[:, None, None] * xx[None]
+                + np.sin(angles[part])[:, None, None] * yy[None])
+        pattern = amps[part, None, None] * np.sin(
+            2.0 * np.pi * cycles * proj / image_size
+            + phases[part, None, None])
+        noisy = rng.standard_normal((len(proj), *shape))
+        noisy *= noise
+        noisy += 0.5 + pattern[:, None, :, :]
+        imgs[part] = np.clip(noisy, 0.0, 1.0, out=noisy)
     return LabeledDataset(imgs, labels, num_classes=num_classes)
 
 

@@ -266,27 +266,50 @@ def train_cost_adjustable(network: Network, train_set, test_set,
 # ---------------------------------------------------------------------------
 # inference and metrics
 
-def infer(network: Network, x, step: int) -> np.ndarray:
-    """Eval-mode forward at ``step``, which must be one the network
-    serves (see :meth:`Network.check_serving_step`)."""
-    network.check_serving_step(step)
-    out = network.forward(x, step, training=False)
-    return out.data
+# bytes of stem output per eval forward: the stem output is the widest
+# activation of every arch, so an eval pass holds a few times this, not
+# a multiple of the batch
+EVAL_SLICE_BYTES = 2 << 20
 
 
-def _evaluate(network: Network, inputs, score, step: int,
-              batch: int) -> float:
-    """Mean per-item score of eval-mode forwards at ``step``, ``batch``
-    inputs per forward; ``score(outputs, lo)`` scores the items from
-    index ``lo`` on."""
+def _eval_slices(network: Network, inputs, step: int):
+    """Eval-mode forwards of ``inputs`` (an [N,C,H,W] array or a list of
+    [C,H,W] images) at ``step``, as many images per forward as keep the
+    stem output within EVAL_SLICE_BYTES; yields each slice's first index
+    and outputs. The eval forward is batch-invariant, so the outputs
+    have the bits of one forward of the whole batch."""
     if len(inputs) == 0:
-        raise ValueError("cannot evaluate an empty dataset")
-    values = []
-    for lo in range(0, len(inputs), batch):
-        xb = np.asarray(inputs[lo:lo + batch], dtype=network.spec.dtype)
-        out = network.forward(xb, step, training=False)
-        values.append(score(out.data, lo))
-    return float(np.mean(np.concatenate(values)))
+        raise ValueError("cannot run an eval forward on an empty batch")
+    h, w = np.shape(inputs[0])[-2:]
+    dtype = network.spec.dtype
+    per_image = network.spec.widths[0] * h * w * np.dtype(dtype).itemsize
+    size = max(1, EVAL_SLICE_BYTES // per_image)
+    for lo in range(0, len(inputs), size):
+        xb = np.asarray(inputs[lo:lo + size], dtype=dtype)
+        yield lo, network.forward(xb, step, training=False).data
+
+
+def infer(network: Network, x, step: int) -> np.ndarray:
+    """Eval-mode forward of the batch ``x`` at ``step``, which must be one
+    the network serves (see :meth:`Network.check_serving_step`)."""
+    network.check_serving_step(step)
+    slices = _eval_slices(network, x, step)
+    _, first = next(slices)
+    if len(first) == len(x):
+        return first
+    out = np.empty((len(x),) + first.shape[1:], first.dtype)
+    out[:len(first)] = first
+    for lo, y in slices:
+        out[lo:lo + len(y)] = y
+    return out
+
+
+def _evaluate(network: Network, inputs, score, step: int) -> float:
+    """Mean per-item score of the eval-mode forwards of ``inputs`` at
+    ``step``; ``score(outputs, lo)`` scores the items from index ``lo``
+    on."""
+    return float(np.mean(np.concatenate(
+        [score(out, lo) for lo, out in _eval_slices(network, inputs, step)])))
 
 
 def evaluate_classification(network: Network, dataset: LabeledDataset,
@@ -294,7 +317,7 @@ def evaluate_classification(network: Network, dataset: LabeledDataset,
     """Misclassified fraction in [0, 1] over the dataset."""
     def wrong(logits, lo):
         return logits.argmax(axis=1) != dataset.labels[lo:lo + len(logits)]
-    return _evaluate(network, dataset.images, wrong, step, batch=250)
+    return _evaluate(network, dataset.images, wrong, step)
 
 
 def evaluate_denoise(network: Network, eval_set: DenoiseEvalSet,
@@ -304,7 +327,7 @@ def evaluate_denoise(network: Network, eval_set: DenoiseEvalSet,
         return [psnr(np.clip(pred, 0.0, DENOISE_SCALE), pair.clean)
                 for pred, pair in zip(preds, eval_set.pairs[lo:])]
     return _evaluate(network, [p.noisy for p in eval_set.pairs], image_psnr,
-                     step, batch=1)
+                     step)
 
 
 def noisy_input_psnr(eval_set: DenoiseEvalSet) -> float:

@@ -105,6 +105,20 @@ class TestSyntheticClassification:
         assert np.array_equal(a.images, b.images)
         assert np.array_equal(a.labels, b.labels)
 
+    @pytest.mark.parametrize("args, sha256", [
+        ((10, 512, 32, [0, 11]),
+         "b7834dffa2c438a67dc38365b172a244a2adf74535f4e274d9d836dbda93a019"),
+        ((3, 2000, 16, [11, 11]),
+         "5c9001603000ca435f449a7aaba5ed3d78d88521578342a791553160d3f20b23"),
+    ])
+    def test_image_bytes_are_pinned(self, args, sha256):
+        # the sets are generated a chunk of samples at a time; the hashes
+        # are those of the whole-set float64 generator they replaced
+        classes, samples, size, key = args
+        ds = make_synthetic_classification(classes, samples, size,
+                                           np.random.SeedSequence(key))
+        assert hashlib.sha256(ds.images.tobytes()).hexdigest() == sha256
+
     def test_requested_shapes(self):
         ds = make_synthetic_classification(3, 2000, 16, 0)
         assert ds.images.shape == (2000, 3, 16, 16)
@@ -404,6 +418,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError,
                            match="unknown tensor 'stem.bios'"):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("optimizer", ["foo", ["sgd"], None],
+                             ids=["foo", "list", "none"])
+    def test_unknown_optimizer_never_written(self, tmp_path, optimizer):
+        net = build_seeded(small_r2_spec(max_step=1))
+        with pytest.raises(CheckpointError,
+                           match=r"optimizer must be one of \('sgd', 'adam'\)"):
+            save_checkpoint(tmp_path / "x.ckpt", net,
+                            {"optimizer": optimizer})
+        assert list(tmp_path.iterdir()) == []
 
     def test_double_precision_refused(self, tmp_path):
         net = build_seeded(small_r2_spec(precision="float64"))

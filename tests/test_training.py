@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -9,12 +10,14 @@ import numpy.testing as npt
 import pytest
 
 from conftest import build_seeded, param_checksums, small_r2_spec, small_r3_spec
+from rcnet import training
 from rcnet.data import (DenoiseSet, make_denoise_eval_set,
                         make_synthetic_classification, make_synthetic_textures,
                         psnr)
 from rcnet.errors import NumericalCheckError
+from rcnet.networks import NetworkSpec
 from rcnet.rc import StepDistribution
-from rcnet.training import (TrainConfig, evaluate_classification,
+from rcnet.training import (TASKS, TrainConfig, evaluate_classification,
                             evaluate_denoise, infer, noisy_input_psnr,
                             run_training, train_cost_adjustable)
 
@@ -292,11 +295,67 @@ class TestInferenceAndMetrics:
         test = make_synthetic_classification(3, 260, 8, 13)
         net = build_seeded(small_r2_spec(max_step=2))
         wrong = 0
-        for lo, hi in ((0, 250), (250, 260)):  # 250 images per forward
+        for lo, hi in ((0, 250), (250, 260)):  # any split gives these logits
             logits = net.forward(test.images[lo:hi], 2, training=False).data
             wrong += int((logits.argmax(axis=1) != test.labels[lo:hi]).sum())
         assert 0 < wrong < 260
         assert evaluate_classification(net, test, 2) == wrong / 260
+
+    @pytest.mark.parametrize("arch", ["r2", "r3", "r4"])
+    def test_sliced_eval_has_the_bits_of_one_forward(self, arch,
+                                                     monkeypatch):
+        # slices of 4 images: 11 images run as 4 + 4 + 3
+        spec = {"r2": small_r2_spec(), "r3": small_r3_spec(),
+                "r4": NetworkSpec(arch="r4", task="classify",
+                                  bn_mode="independent", max_step=2,
+                                  widths=(4, 8, 16, 32),
+                                  image_shape=(3, 8, 8), num_classes=3)}[arch]
+        net = build_seeded(spec)
+        c, h, w = spec.image_shape
+        monkeypatch.setattr(training, "EVAL_SLICE_BYTES",
+                            4 * spec.widths[0] * h * w * 4)
+        if arch == "r3":
+            test = make_denoise_eval_set(make_synthetic_textures(11, h, 4),
+                                         25.0, 5)
+            x = np.stack([p.noisy for p in test.pairs])
+        else:
+            test = make_synthetic_classification(3, 11, h, 6, channels=c)
+            x = test.images
+        whole = net.forward(x, 2, training=False).data
+        if arch == "r3":
+            want = np.mean([psnr(np.clip(pred, 0.0, 255.0), p.clean)
+                            for pred, p in zip(whole, test.pairs)])
+        else:
+            want = np.mean(whole.argmax(axis=1) != test.labels)
+
+        batches = []
+        real_forward = net.forward
+
+        def counted(xb, *args, **kwargs):
+            batches.append(len(xb))
+            return real_forward(xb, *args, **kwargs)
+        monkeypatch.setattr(net, "forward", counted)
+        npt.assert_array_equal(infer(net, x, 2), whole)
+        assert batches == [4, 4, 3]
+        assert TASKS[spec.task].evaluate(net, test, 2) == want
+        assert batches == [4, 4, 3] * 2
+
+    def test_infer_peak_memory_does_not_grow_with_the_batch(self):
+        # 1000 images of 32x32 through 4 channels are about 8 slices.
+        # Measured: the sliced forward peaks at about 5.5 slices of stem
+        # output above its output; one forward of the whole batch at 37.
+        spec = small_r3_spec(width=4, image=32)
+        net = build_seeded(spec)
+        x = np.random.default_rng(0).normal(128.0, 25.0, (1000, 1, 32, 32)) \
+            .astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = infer(net, x, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == x.shape
+        assert peak - out.nbytes < 8 * training.EVAL_SLICE_BYTES
 
     def test_eval_epoch_records(self, toy_data):
         net = build_seeded(small_r2_spec(max_step=2))
