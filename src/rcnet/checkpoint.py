@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, NumericalCheckError
-from .networks import Network, NetworkSpec, build_network
+from .networks import ExpandedNetwork, Network, NetworkSpec, build_network
 from .optim import OPTIMIZERS, state_buffers
 from .training import RngStreams
 
@@ -76,6 +76,10 @@ def save_checkpoint(path, network: Network,
         raise CheckpointError(
             "checkpoints store float32 tensors; a "
             f"{network.spec.precision} network cannot be checkpointed")
+    if isinstance(network, ExpandedNetwork):
+        raise CheckpointError(
+            f"not writing {path}: an untied expansion cannot be "
+            f"checkpointed; its spec rebuilds the recurrent network")
     state = {**_EMPTY_TRAINER_STATE, **(trainer_state or {})}
     _check_optimizer(state["optimizer"], f"not writing {path}: trainer_state")
     header = {

@@ -296,8 +296,7 @@ def cmd_expand_check(args) -> None:
     x = rng.standard_normal((args.inputs, c, h, w)).astype(network.spec.dtype)
     if network.spec.task == "denoise":
         x = (x * 25.0 + 128.0).astype(network.spec.dtype)
-    a = network.forward(x, args.step, training=False).data
-    b = expanded.forward(x, training=False).data
+    a, b = infer(network, x, args.step), infer(expanded, x, args.step)
     dev = float(np.max(np.abs(a - b)))
     threshold = 1e-5 if network.spec.precision == "float32" else 1e-10
     status = "pass" if dev < threshold else "FAIL"

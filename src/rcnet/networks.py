@@ -168,7 +168,6 @@ class Network:
     def __init__(self, spec: NetworkSpec, modules: list):
         self.spec = spec
         self.modules = modules  # list of (name, module)
-        self.max_step = spec.max_step
         self.trained_support: list[int] | None = None
 
     def forward(self, x, step: int, training: bool,
@@ -182,22 +181,8 @@ class Network:
         prediction ``input + 255 * f(input / 255)`` on the 0-255 scale, so
         a zeroed head reproduces the input exactly.
         """
-        if not 1 <= step <= self.max_step:
-            raise ValueError(f"step {step} outside [1, {self.max_step}]")
-        return self._run(x, step, training, collect_cell, collect)
-
-    def check_serving_step(self, step: int) -> None:
-        """Raise ConfigError unless ``step`` lies in [1, max_step] and, once
-        the network is trained, in its trained support."""
-        if not 1 <= step <= self.max_step:
-            raise ConfigError(f"step {step} outside [1, {self.max_step}]")
-        support = self.trained_support
-        if support is not None and step not in support:
-            raise ConfigError(
-                f"step {step} outside the trained support {sorted(support)}")
-
-    def _run(self, x, step, training, collect_cell=None,
-             collect=None) -> Tensor:
+        if not 1 <= step <= self.spec.max_step:
+            raise ValueError(f"step {step} outside [1, {self.spec.max_step}]")
         dtype = self.spec.dtype
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=dtype))
@@ -215,6 +200,16 @@ class Network:
         if denoise:
             h = F.add(x0, F.scale(h, DENOISE_SCALE))
         return h
+
+    def check_serving_step(self, step: int) -> None:
+        """Raise ConfigError unless ``step`` lies in [1, max_step] and, once
+        the network is trained, in its trained support."""
+        if not 1 <= step <= self.spec.max_step:
+            raise ConfigError(f"step {step} outside [1, {self.spec.max_step}]")
+        support = self.trained_support
+        if support is not None and step not in support:
+            raise ConfigError(
+                f"step {step} outside the trained support {sorted(support)}")
 
     def named_parameters(self) -> dict[str, Parameter]:
         out: dict[str, Parameter] = {}
@@ -245,11 +240,15 @@ class Network:
 
 
 class ExpandedNetwork(Network):
-    """Untied standard feedforward network produced by expansion; it has
-    no recurrent modules, so its forward takes no step."""
+    """Untied standard feedforward network produced by expansion. It has
+    no recurrent modules, so it runs the pipeline at step 1; a given
+    ``step`` must be the one it was untied at, its trained support."""
 
-    def forward(self, x, training: bool = False) -> Tensor:
-        return self._run(x, 1, training)
+    def forward(self, x, step: int | None = None,
+                training: bool = False) -> Tensor:
+        if step is not None:
+            self.check_serving_step(step)
+        return super().forward(x, 1, training)
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +338,20 @@ def expand_to_standard(network: Network, step: int) -> ExpandedNetwork:
     step's group selected in every per-step BN layer.
 
     Rejected for shared BN (one set of running statistics cannot serve
-    every depth) and for BN-free networks (no per-step groups to
-    install). Nothing is aliased with the source network.
+    every depth), BN-free networks (no per-step groups to install) and
+    unserved steps. Nothing is aliased with the source network.
     """
     spec = network.spec
     if spec.bn_mode not in ("independent", "double_independent"):
         raise ConfigError(
             f"expansion requires per-step BN groups; bn_mode "
             f"'{spec.bn_mode}' cannot be expanded")
-    if not 1 <= step <= spec.max_step:
-        raise ConfigError(f"step {step} outside [1, {spec.max_step}]")
-    return ExpandedNetwork(spec, [(name + suffix, m)
-                                  for name, mod in network.modules
-                                  for suffix, m in mod.untie(step)])
+    network.check_serving_step(step)
+    expanded = ExpandedNetwork(spec, [(name + suffix, m)
+                                      for name, mod in network.modules
+                                      for suffix, m in mod.untie(step)])
+    expanded.trained_support = [step]
+    return expanded
 
 
 # ---------------------------------------------------------------------------

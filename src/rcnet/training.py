@@ -147,7 +147,7 @@ def run_training(network: Network, train_set, test_set, cfg: TrainConfig,
     at every support step and optimizes the probability-weighted loss sum
     in one update; the other two forward at one step drawn per iteration."""
     dist = cfg.step_distribution
-    check_regime(regime, network.spec.bn_mode, dist, network.max_step)
+    check_regime(regime, network.spec.bn_mode, dist, network.spec.max_step)
     aggregated = regime == "aggregated"
     task = TASKS[network.spec.task]
 

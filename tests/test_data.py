@@ -17,7 +17,7 @@ from rcnet.data import (DenoiseSet, add_gaussian_noise, load_cifar10,
                         psnr, read_pgm, read_rct, write_pgm, write_rct)
 from rcnet.errors import (CheckpointError, DataError, NumericalCheckError,
                           RcnetError)
-from rcnet.networks import NetworkSpec, build_network
+from rcnet.networks import NetworkSpec, build_network, expand_to_standard
 from rcnet.optim import SGD, Adam
 
 
@@ -427,6 +427,15 @@ class TestCheckpoint:
                            match=r"optimizer must be one of \('sgd', 'adam'\)"):
             save_checkpoint(tmp_path / "x.ckpt", net,
                             {"optimizer": optimizer})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_untied_expansion_never_written(self, tmp_path):
+        # its header spec would rebuild the recurrent network, whose
+        # tensor names the untied copies do not have
+        net = build_seeded(small_r2_spec(bn_mode="double_independent"))
+        with pytest.raises(CheckpointError,
+                           match=r"not writing .*x\.ckpt: an untied expansion"):
+            save_checkpoint(tmp_path / "x.ckpt", expand_to_standard(net, 2))
         assert list(tmp_path.iterdir()) == []
 
     def test_double_precision_refused(self, tmp_path):

@@ -10,10 +10,12 @@ import pytest
 
 from conftest import build_seeded, small_r2_spec, small_r3_spec
 from rcnet.autodiff import Tape, Tensor, backward
+from rcnet.errors import ConfigError
 from rcnet import functional as F
 from rcnet.networks import (NetworkSpec, build_network, cost_report,
                             expand_to_standard)
 from rcnet.optim import SGD, Adam
+from rcnet.training import infer
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -288,17 +290,20 @@ EXPANSION_CASES = [(arch, mode, s) for arch in ("r2", "r3", "r4")
 
 @pytest.mark.parametrize("arch,mode,step", EXPANSION_CASES)
 def test_expansion_equivalence(arch, mode, step, rng):
-    """Forward within 1e-5 in float32 (eval mode, running statistics);
-    float64 training-mode loss within 1e-12 and each cell's shared conv
-    gradient equal to the sum over its untied depths within 1e-10; every
-    other weight keeps its name and its gradient."""
+    """Forward and ``infer`` within 1e-5 in float32 (eval mode, running
+    statistics); float64 training-mode loss within 1e-12 and each cell's
+    shared conv gradient equal to the sum over its untied depths within
+    1e-10; every other weight keeps its name and its gradient."""
     spec = small_spec(arch, mode, 3)
     net = build_seeded(spec, seed=2)
     _randomize_bn(net, rng)
     x = rng.standard_normal((4,) + spec.image_shape).astype(np.float32)
     y = net.forward(x, step, training=False)
-    z = expand_to_standard(net, step).forward(x, training=False)
+    exp = expand_to_standard(net, step)
+    z = exp.forward(x, training=False)
     npt.assert_allclose(y.data, z.data, atol=1e-5, rtol=0)
+    npt.assert_allclose(infer(net, x, step), infer(exp, x, step), atol=1e-5,
+                        rtol=0)
 
     net = build_seeded(small_spec(arch, mode, 3, precision="float64"), seed=2)
     _randomize_bn(net, rng)
@@ -306,9 +311,9 @@ def test_expansion_equivalence(arch, mode, step, rng):
     x = x.astype(np.float64)
     labels = rng.integers(0, 3, 4)
     losses = []
-    for model, args in ((net, (step,)), (exp, ())):
+    for model in (net, exp):
         with Tape() as tape:
-            out = model.forward(x, *args, training=True)
+            out = model.forward(x, step, training=True)
             loss = _task_loss(net.spec, out, x, labels)
         backward(tape, loss)
         losses.append(float(loss.data))
@@ -379,6 +384,22 @@ class TestExpansion:
             q.data[...] = 123.0
         npt.assert_array_equal(net.named_parameters()["stem.weight"].data,
                                before)
+
+    def test_serves_only_its_step(self):
+        net = build_seeded(small_r2_spec(max_step=3))
+        exp = expand_to_standard(net, 2)
+        assert exp.trained_support == [2]
+        x = np.ones((2, 3, 8, 8), np.float32)
+        npt.assert_array_equal(exp.forward(x, 2, training=False).data,
+                               exp.forward(x).data)
+        for step, why in ((1, r"trained support \[2\]"),
+                          (3, r"trained support \[2\]"),
+                          (4, r"outside \[1, 3\]")):
+            with pytest.raises(ConfigError, match=why):
+                exp.forward(x, step, training=False)
+        net.trained_support = [1, 3]
+        with pytest.raises(ConfigError, match=r"trained support \[1, 3\]"):
+            expand_to_standard(net, 2)
 
     def test_shared_and_none_modes_rejected(self):
         for mode in ("shared", "none"):

@@ -1,6 +1,7 @@
 """Training-loop policies, inference guards, and evaluation metrics."""
 
 import math
+import re
 import time
 import tracemalloc
 from functools import partial
@@ -14,8 +15,8 @@ from rcnet import training
 from rcnet.data import (DenoiseSet, make_denoise_eval_set,
                         make_synthetic_classification, make_synthetic_textures,
                         psnr)
-from rcnet.errors import NumericalCheckError
-from rcnet.networks import NetworkSpec
+from rcnet.errors import ConfigError, NumericalCheckError
+from rcnet.networks import NetworkSpec, expand_to_standard, step_cost
 from rcnet.rc import StepDistribution
 from rcnet.training import (TASKS, TrainConfig, evaluate_classification,
                             evaluate_denoise, infer, noisy_input_psnr,
@@ -193,6 +194,52 @@ class TestRegimes:
         net = build_seeded(small_r2_spec(max_step=2))
         with pytest.raises(ValueError, match="unknown regime"):
             run_training(net, *toy_data, toy_cfg(), "warp")
+
+
+@pytest.mark.parametrize("arch,widths,cost", [
+    ("r2", (4, 16), (212_016, 10)), ("r4", (4, 8, 8, 8), (522_776, 26))])
+def test_untied_twin_runs_through_the_shared_loops(arch, widths, cost):
+    """One dry-run iteration of an RC network and of its untied twin at
+    step 2: the same loss and eval metric; each cell's shared conv
+    gradient is the sum of its untied copies', every other gradient the
+    same; the same step cost; the twin serves step 2 alone."""
+    spec = NetworkSpec(arch=arch, task="classify",
+                       bn_mode="double_independent", max_step=3,
+                       widths=widths, image_shape=(3, 16, 16), num_classes=3,
+                       precision="float64")
+    net = build_seeded(spec, seed=4)
+    twin = expand_to_standard(net, 2)
+    assert twin.trained_support == [2]
+    train = make_synthetic_classification(3, 12, 16, 21)
+    test = make_synthetic_classification(3, 12, 16, 22)
+    cfg = toy_cfg(lr=0.0, clip_max_norm=1e30, batch_size=len(train),
+                  eval_each_epoch=True)
+    logs = [run_training(model, train, test, cfg, "fixed")
+            for model in (net, twin)]
+    assert len(logs[0].iterations) == len(logs[1].iterations) == 1
+    npt.assert_allclose(logs[0].iterations[0].loss,
+                        logs[1].iterations[0].loss, atol=1e-12, rtol=0)
+    assert logs[0].epochs[0].metrics == logs[1].epochs[0].metrics
+    assert net.trained_support == twin.trained_support == [2]
+    with pytest.raises(ConfigError, match=r"trained support \[2\]"):
+        infer(twin, test.images, 3)
+
+    params, tparams = net.named_parameters(), twin.named_parameters()
+    for name, cell in net.cells().items():
+        for q, w in enumerate(cell.body.convs):
+            copies = [tparams.pop(f"{name}.depth{j}.conv{q}.weight")
+                      for j in (1, 2)]
+            npt.assert_allclose(w.grad, copies[0].grad + copies[1].grad,
+                                atol=1e-10, rtol=0)
+    for name, p in tparams.items():
+        # the step-2 BN groups: cell1.depth<j>.bank.shared.* holds
+        # cell1.bank.s2j<j>.*, a per-step trans2.bn1.* holds trans2.bn1.s2.*
+        source = re.sub(r"\.depth(\d)\.bank\.shared\.", r".bank.s2j\1.",
+                        name)
+        if source not in params:
+            source = re.sub(r"\.(gamma|beta)$", r".s2.\1", source)
+        npt.assert_allclose(p.grad, params[source].grad, atol=1e-10, rtol=0)
+    assert step_cost(net, 2)[:2] == step_cost(twin, 2)[:2] == cost
 
 
 class TestInferenceAndMetrics:
