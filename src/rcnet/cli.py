@@ -23,7 +23,8 @@ from .errors import (CheckpointError, ConfigError, DataError,
                      NumericalCheckError, RcnetError)
 from .networks import (bn_table, build_network, cost_report,
                        expand_to_standard, step_cost)
-from .training import TASKS, RngStreams, check_batches, infer, run_training
+from .training import (TASKS, RngStreams, check_batches, eval_slice_size,
+                       infer, run_training)
 
 # the first line of the eval command's eval.csv
 EVAL_HEADER = "metric,step,value\n"
@@ -292,12 +293,20 @@ def cmd_expand_check(args) -> None:
     network = _load_network(args.checkpoint, args.step)
     expanded = expand_to_standard(network, args.step)
     c, h, w = network.spec.image_shape
+    dtype = network.spec.dtype
     rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal((args.inputs, c, h, w)).astype(network.spec.dtype)
-    if network.spec.task == "denoise":
-        x = (x * 25.0 + 128.0).astype(network.spec.dtype)
-    a, b = infer(network, x, args.step), infer(expanded, x, args.step)
-    dev = float(np.max(np.abs(a - b)))
+    # one eval slice of inputs at a time; PCG64 draws the values of one
+    # whole-batch call in chunks too
+    size = eval_slice_size(network.spec, h, w)
+    dev = 0.0
+    for lo in range(0, args.inputs, size):
+        x = rng.standard_normal(
+            (min(size, args.inputs - lo), c, h, w)).astype(dtype)
+        if network.spec.task == "denoise":
+            x = (x * 25.0 + 128.0).astype(dtype)
+        a, b = infer(network, x, args.step), infer(expanded, x, args.step)
+        # np.maximum keeps a NaN deviation, which must fail the check
+        dev = float(np.maximum(dev, np.max(np.abs(a - b))))
     threshold = 1e-5 if network.spec.precision == "float32" else 1e-10
     status = "pass" if dev < threshold else "FAIL"
     print(f"expand-check step={args.step} max_abs_dev={dev:.3e} "

@@ -35,6 +35,11 @@ reads it; no buffer holds the whole batch's columns.
 arXiv:1502.03167); the modes differ only in where ``mu`` and ``var`` come
 from. Its backward needs only the per-channel sums of ``g`` and ``g*x``,
 accumulated in float64, so the tape keeps ``x`` and no normalized copy.
+With ``relu=True`` it also clamps its output at 0 in place, as one op
+(the fused BN + activation of Rota Bulo et al., arXiv:1712.02616): the
+backward masks ``g`` with ``output > 0``, so the tape keeps ``x`` and the
+clamped output, and no pre-ReLU copy or mask. :func:`relu` alone likewise
+reads its mask from its output.
 """
 
 from __future__ import annotations
@@ -184,8 +189,10 @@ def conv2d(x: Tensor, weight: Parameter, bias: Parameter | None = None) -> Tenso
 # ---------------------------------------------------------------------------
 # batch normalization
 
-def batchnorm2d(x: Tensor, group, training: bool) -> Tensor:
-    """Per-channel batch normalization with the group's scale/shift.
+def batchnorm2d(x: Tensor, group, training: bool,
+                relu: bool = False) -> Tensor:
+    """Per-channel batch normalization with the group's scale/shift,
+    followed by a ReLU when ``relu`` is set.
 
     Train mode normalizes by the batch mean and biased variance and folds
     them into the running statistics with the group's momentum. Eval mode
@@ -224,19 +231,25 @@ def batchnorm2d(x: Tensor, group, training: bool) -> Tensor:
     sc = gamma.data * invstd
     out = x.data * sc.reshape(1, c, 1, 1)
     out += (beta.data - mu * sc).reshape(1, c, 1, 1)
+    if relu:
+        np.maximum(out, 0, out=out)
     y = _out(out, x, gamma, beta)
 
     if y.requires_grad:
         need_x = x.requires_grad
 
         def bwd(g):
+            if relu:
+                # a fresh array, so the scaling below may overwrite it
+                g = g * (out > 0)
             g3, x3 = g.reshape(n, c, h * w), x.data.reshape(n, c, h * w)
             sum_g = np.einsum("nci->c", g3, dtype=np.float64)
             sum_gx = np.einsum("nci,nci->c", g3, x3, dtype=np.float64)
             dgamma = (sum_gx - mu * sum_g) * invstd
             dx = None
             if need_x:
-                dx = g * sc.reshape(1, c, 1, 1)
+                dx = np.multiply(g, sc.reshape(1, c, 1, 1),
+                                 out=g if relu else None)
                 if training:
                     # the batch statistics' own gradient: x*k1 + k0
                     k1 = -sc * dgamma * invstd / m
@@ -255,10 +268,9 @@ def batchnorm2d(x: Tensor, group, training: bool) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     y = _out(np.maximum(x.data, 0), x)
     if y.requires_grad:
-        mask = x.data > 0
-
         def bwd(g):
-            return (g * mask,)
+            # y > 0 exactly where x > 0: the tape keeps y, so no mask
+            return (g * (y.data > 0),)
 
         record(y, (x,), bwd)
     return y

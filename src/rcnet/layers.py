@@ -5,6 +5,9 @@ around the cells.
 Cell bodies keep input and output channel counts equal so they can be
 applied repeatedly; the two supported kinds are the pre-activation
 residual block (2 convs, 2 BN slots) and conv-BN-ReLU (1 conv, 1 slot).
+Every BN here is followed by a ReLU, and :func:`bn_relu` runs the pair as
+one taped op, so a taped forward holds no pre-ReLU copy; in mode 'none'
+it is the ReLU alone.
 """
 
 from __future__ import annotations
@@ -93,12 +96,13 @@ class CellBody:
         return CellBody(kind=kind, convs=convs, channels=channels)
 
 
-def bn(x, groups, training: bool, slot: int = 0):
+def bn_relu(x, groups, training: bool, slot: int = 0):
     """Normalize ``x`` with ``groups[slot]``, the groups a bank's
-    ``select`` returned; the identity when that is None (mode 'none')."""
+    ``select`` returned, and apply ReLU, as one taped op; the ReLU alone
+    when that is None (mode 'none')."""
     if groups is None:
-        return x
-    return F.batchnorm2d(x, groups[slot], training)
+        return F.relu(x)
+    return F.batchnorm2d(x, groups[slot], training, relu=True)
 
 
 def run_cell_body(body: CellBody, x, bn_groups, training: bool):
@@ -113,13 +117,13 @@ def run_cell_body(body: CellBody, x, bn_groups, training: bool):
             f"got {len(bn_groups)}")
 
     if body.kind == "preact_resblock":
-        h = F.relu(bn(x, bn_groups, training))
+        h = bn_relu(x, bn_groups, training)
         h = F.conv2d(h, body.convs[0])
-        h = F.relu(bn(h, bn_groups, training, slot=1))
+        h = bn_relu(h, bn_groups, training, slot=1)
         h = F.conv2d(h, body.convs[1])
         return F.add(x, h)
     h = F.conv2d(x, body.convs[0])
-    return F.relu(bn(h, bn_groups, training))
+    return bn_relu(h, bn_groups, training)
 
 
 class Module:
@@ -206,7 +210,7 @@ class ClassifierHead(Module):
         self.bias = Parameter(np.zeros(num_classes, dtype=dtype))
 
     def apply(self, x, step, training):
-        h = F.relu(bn(x, self.bn.select(step), training))
+        h = bn_relu(x, self.bn.select(step), training)
         h = F.global_avgpool(h)
         return F.linear(h, self.weight, self.bias)
 

@@ -27,7 +27,7 @@ from . import functional as F
 from .autodiff import Parameter, Tape, Tensor
 from .errors import ConfigError
 from .layers import (BnGroup, CellBody, ClassifierHead, ConvLayer, Module,
-                     PoolModule, bn, he_conv)
+                     PoolModule, bn_relu, he_conv)
 from .rc import BN_MODES, BnBank, RcCell, unroll
 
 TASK_BY_ARCH = {"r2": "classify", "r3": "denoise", "r4": "classify"}
@@ -137,7 +137,7 @@ class TransitionModule(Module):
                      if in_ch != out_ch else None)
 
     def apply(self, x, step, training):
-        h = F.relu(bn(x, self.bn1.select(step), training))
+        h = bn_relu(x, self.bn1.select(step), training)
         if self.downsample:
             h = F.avgpool2d(h)
         if self.proj is not None:
@@ -147,7 +147,7 @@ class TransitionModule(Module):
         else:
             shortcut = x
         m = F.conv2d(h, self.conv1)
-        m = F.relu(bn(m, self.bn2.select(step), training))
+        m = bn_relu(m, self.bn2.select(step), training)
         m = F.conv2d(m, self.conv2)
         return F.add(shortcut, m)
 

@@ -272,6 +272,13 @@ def train_cost_adjustable(network: Network, train_set, test_set,
 EVAL_SLICE_BYTES = 2 << 20
 
 
+def eval_slice_size(spec: NetworkSpec, h: int, w: int) -> int:
+    """Images per eval forward at ``h`` x ``w``: as many as keep the stem
+    output within EVAL_SLICE_BYTES."""
+    per_image = spec.widths[0] * h * w * np.dtype(spec.dtype).itemsize
+    return max(1, EVAL_SLICE_BYTES // per_image)
+
+
 def _eval_slices(network: Network, inputs, step: int):
     """Eval-mode forwards of ``inputs`` (an [N,C,H,W] array or a list of
     [C,H,W] images) at ``step``, as many images per forward as keep the
@@ -280,12 +287,9 @@ def _eval_slices(network: Network, inputs, step: int):
     have the bits of one forward of the whole batch."""
     if len(inputs) == 0:
         raise ValueError("cannot run an eval forward on an empty batch")
-    h, w = np.shape(inputs[0])[-2:]
-    dtype = network.spec.dtype
-    per_image = network.spec.widths[0] * h * w * np.dtype(dtype).itemsize
-    size = max(1, EVAL_SLICE_BYTES // per_image)
+    size = eval_slice_size(network.spec, *np.shape(inputs[0])[-2:])
     for lo in range(0, len(inputs), size):
-        xb = np.asarray(inputs[lo:lo + size], dtype=dtype)
+        xb = np.asarray(inputs[lo:lo + size], dtype=network.spec.dtype)
         yield lo, network.forward(xb, step, training=False).data
 
 

@@ -158,6 +158,10 @@ def test_criterion_2_gradient_suite():
     results["batchnorm_train"] = finite_difference_check(
         lambda: F.mse_loss(F.batchnorm2d(xb, g, training=True),
                            Tensor(tgtb)), [xb, g.gamma, g.beta])
+    # with the fused ReLU (every BN output here is at least 3e-3 from 0)
+    results["batchnorm_relu_train"] = finite_difference_check(
+        lambda: F.mse_loss(F.batchnorm2d(xb, g, training=True, relu=True),
+                           Tensor(tgtb)), [xb, g.gamma, g.beta])
 
     # relu (inputs away from the kink)
     xr = Parameter(away_from_zero(rng.standard_normal((3, 4, 4))))

@@ -1,5 +1,6 @@
 """Tensor/op value semantics, oracle cross-checks, and optimizer rules."""
 
+import copy
 import math
 import tracemalloc
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from rcnet import functional as F
 from rcnet.autodiff import Parameter, Tape, Tensor, backward
-from rcnet.layers import BnGroup
+from rcnet.layers import BnGroup, CellBody, run_cell_body
 from rcnet.optim import SGD, Adam, clip_grad_norm, global_grad_norm
 
 
@@ -376,11 +377,76 @@ class TestBatchNorm:
         assert len(tape.nodes) == 1
         assert retained <= y.data.nbytes + 64 * 1024
 
+    def test_taped_cell_body_keeps_no_pre_relu_copy(self, rng):
+        # a taped train-mode preact body holds five activations (two
+        # BN+ReLU outputs, two conv outputs, the sum) besides x; a separate
+        # ReLU would add a pre-ReLU copy and a bool mask per BN, 7.5 in all
+        x = Tensor(rng.standard_normal((50, 16, 16, 16)).astype(np.float32))
+        x.requires_grad = True
+        body = CellBody.create("preact_resblock", 16, rng, np.float32)
+        groups = [BnGroup.create(16, np.float32) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                run_cell_body(body, x, groups, training=True)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= 5 * x.data.nbytes + 64 * 1024
+        assert len(tape.nodes) == 5
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_relu_has_the_bits_of_bn_then_relu(self, rng, dtype,
+                                                     training):
+        n, c = 6, 5
+        x = (rng.standard_normal((n, c, 4, 4)) * 2 + 0.5).astype(dtype)
+        tgt = rng.standard_normal((n, c, 4, 4)).astype(dtype)
+        grp = BnGroup.create(c, dtype)
+        grp.gamma.data[...] = rng.normal(1.0, 0.5, c)
+        grp.beta.data[...] = rng.normal(0.0, 1.0, c)
+        grp.running_mean[...] = rng.normal(0.0, 1.0, c)
+        grp.running_var[...] = rng.uniform(0.5, 2.0, c)
+        got = {}
+        for fused in (False, True):
+            g = copy.deepcopy(grp)
+            xp = Parameter(x.copy())
+            with Tape() as tape:
+                if fused:
+                    y = F.batchnorm2d(xp, g, training, relu=True)
+                else:
+                    y = F.relu(F.batchnorm2d(xp, g, training))
+                loss = F.mse_loss(y, Tensor(tgt))
+            backward(tape, loss)
+            assert len(tape.nodes) == 2 + (not fused)
+            got[fused] = (y.data, xp.grad, g.gamma.grad, g.beta.grad,
+                          g.running_mean, g.running_var)
+        assert (got[True][0] == 0).any() and (got[True][0] > 0).any()
+        for a, b in zip(got[False], got[True]):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
+
 
 class TestSimpleOps:
     def test_relu(self):
         y = F.relu(Tensor(np.array([-1.0, 0.0, 2.0])))
         npt.assert_array_equal(y.data, [0.0, 0.0, 2.0])
+
+    def test_relu_tape_keeps_no_mask(self, rng):
+        # the backward reads its mask from the output the tape keeps
+        x = Tensor(rng.standard_normal((50, 16, 16, 16)).astype(np.float32))
+        x.requires_grad = True
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                y = F.relu(x)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= y.data.nbytes + 64 * 1024
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        [(_, _, bwd)] = tape.nodes
+        assert bwd(g)[0].tobytes() == (g * (x.data > 0)).tobytes()
 
     def test_avgpool(self):
         x = Tensor(np.array([[1.0, 3.0], [5.0, 7.0]]).reshape(1, 1, 2, 2))

@@ -1111,28 +1111,29 @@ class TestCostAndChecks:
         assert code == 0
         assert "pass" in capsys.readouterr().out
 
-    def test_expand_check_memory_is_the_inputs_plus_slices(self, tmp_path,
+    def test_expand_check_memory_does_not_grow_with_inputs(self, tmp_path,
                                                            capsys):
-        # 2048 images of 16x16 through 4 channels are four eval slices.
-        # The inputs are drawn in float64 and cast to float32 (3x their
-        # float32 bytes). Measured: the peak is 0.2 MB above that with two
-        # sliced infers, 21 MB with two forwards of the whole batch.
+        # 512 images of 16x16 through 4 channels are one eval slice, and
+        # expand-check draws one slice of inputs at a time. Measured: a
+        # traced peak of 8.0 MB at both sizes; 11.2 and 36.2 MB when the
+        # whole batch was drawn at once.
         from conftest import build_seeded, small_r2_spec
         from rcnet.checkpoint import save_checkpoint
-        from rcnet.training import EVAL_SLICE_BYTES
         ckpt = tmp_path / "net.ckpt"
         save_checkpoint(ckpt, build_seeded(small_r2_spec(
             max_step=2, widths=(4, 16), image=16)))
-        tracemalloc.start()
-        try:
-            code = run_cli(["expand-check", "--checkpoint", ckpt, "--step",
-                            "2", "--inputs", "2048"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert "pass" in capsys.readouterr().out
-        assert peak - 3 * 2048 * 3 * 16 * 16 * 4 < 4 * EVAL_SLICE_BYTES
+        peaks = {}
+        for inputs in (1024, 4096):
+            tracemalloc.start()
+            try:
+                code = run_cli(["expand-check", "--checkpoint", ckpt,
+                                "--step", "2", "--inputs", str(inputs)])
+                peaks[inputs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert "pass" in capsys.readouterr().out
+        assert peaks[4096] <= peaks[1024] + 256 * 1024
 
     def test_export_bn_rows_and_header(self, tmp_path):
         cfg = write_cfg(tmp_path, TOY_CLASSIFY, out=tmp_path / "run")
