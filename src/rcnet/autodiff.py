@@ -56,21 +56,33 @@ class Tensor:
 class Parameter(Tensor):
     """Learnable tensor with a gradient accumulator.
 
-    ``is_shared`` marks weights shared across unroll steps; the optimizer
-    scales their step by its ``shared_lr_scale``. ``state`` maps the name
-    of each optimizer buffer to its array; the update rules in ``optim``
-    declare and create them. A deep copy holds a copy of the value and
-    keeps ``is_shared``, with a zero gradient and no state.
+    ``grad`` is created as zeros on first use, so a network that only
+    runs forward passes holds no gradients. ``is_shared`` marks weights
+    shared across unroll steps; the optimizer scales their step by its
+    ``shared_lr_scale``. ``state`` maps the name of each optimizer buffer
+    to its array; the update rules in ``optim`` declare and create them.
+    A deep copy holds a copy of the value and keeps ``is_shared``, with no
+    gradient and no state.
     """
 
-    __slots__ = ("grad", "is_shared", "state")
+    __slots__ = ("_grad", "is_shared", "state")
 
     def __init__(self, data, is_shared: bool = False):
         super().__init__(data)
         self.requires_grad = True
-        self.grad = np.zeros_like(self.data)
+        self._grad: Optional[np.ndarray] = None
         self.is_shared = bool(is_shared)
         self.state: dict[str, np.ndarray] = {}
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self._grad = value
 
     def __deepcopy__(self, memo) -> "Parameter":
         return Parameter(self.data.copy(), self.is_shared)

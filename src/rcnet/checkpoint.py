@@ -11,17 +11,22 @@ Layout (all little-endian):
     per tensor:
         nlen u16, name utf-8, ndim u8, dims u32*ndim, data
 
-Tensor names are sorted, and the header JSON is canonical
-(sorted keys, no whitespace), so save -> load -> save is byte-identical.
-The payload is float32, except the optimizer buffers that ``optim``
-declares float64 (Adam's moments): double-precision networks are a
-verification mode and are refused rather than silently truncated. Each
-parameter's optimizer state is the buffers that the header
-``optimizer``'s update rule declares in its ``STATE``, stored as
-``<name>.<key>``; Adam's bias correction restarts from the header's
-``updates``. Non-finite values are refused on save and on load. A save
-writes ``<path>.tmp`` and renames it over ``path``, so an interrupted
-save leaves the previous file intact.
+Tensor names ascend strictly (a repeated or out-of-order name is refused
+on load), and the header JSON is canonical (sorted keys, no whitespace),
+so save -> load -> save is byte-identical. The payload is float32, except
+the optimizer buffers that ``optim`` declares float64 (Adam's moments):
+double-precision networks are a verification mode and are refused rather
+than silently truncated. Each parameter's optimizer state is the buffers
+that the header ``optimizer``'s update rule declares in its ``STATE``,
+stored as ``<name>.<key>``; a buffer the network does not hold is written
+as zeros without being created, so a save leaves its network as it was.
+Adam's bias correction restarts from the header's ``updates``. Non-finite
+values are refused on save and on load. A save writes ``<path>.tmp`` and
+renames it over ``path``, so an interrupted save leaves the previous file
+intact. A load builds the network from the header, then streams each
+tensor from the file straight into its array: it holds neither the file
+nor a table of copies, and checks every length it reads against the
+bytes left in the file before it allocates anything.
 """
 
 from __future__ import annotations
@@ -54,12 +59,16 @@ def _stored_dtype(name: str) -> str:
     return "<f8" if name.endswith(_FLOAT64_SUFFIXES) else "<f4"
 
 
-def _tensor_table(network: Network,
-                  optimizer: str = "sgd") -> dict[str, np.ndarray]:
+def _tensor_table(network: Network, optimizer: str = "sgd",
+                  create: bool = False) -> dict[str, np.ndarray]:
+    """Every tensor a checkpoint of ``network`` stores, by name; missing
+    optimizer buffers are created only when ``create`` (a load reads into
+    them)."""
     table: dict[str, np.ndarray] = {}
     for name, p in network.named_parameters().items():
         table[name] = p.data
-        for key, buf in state_buffers(p, OPTIMIZERS[optimizer]).items():
+        for key, buf in state_buffers(p, OPTIMIZERS[optimizer],
+                                      create).items():
             table[f"{name}.{key}"] = buf
     table.update(network.named_buffers())
     return table
@@ -72,6 +81,9 @@ def _first_non_finite(table: dict[str, np.ndarray]) -> str | None:
 
 def save_checkpoint(path, network: Network,
                     trainer_state: dict | None = None) -> None:
+    """Write ``network`` and ``trainer_state`` to ``path``. An optimizer
+    buffer the network does not hold is written as zeros; the save creates
+    none, so it leaves the network as it was."""
     if network.spec.precision != "float32":
         raise CheckpointError(
             "checkpoints store float32 tensors; a "
@@ -115,86 +127,118 @@ def save_checkpoint(path, network: Network,
                 f.write(nbytes)
                 f.write(struct.pack("<B", arr.ndim))
                 f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                f.write(arr.tobytes())
+                f.write(arr)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _unpack(fmt: str, data: bytes, offset: int, path, what: str) -> tuple:
-    if offset + struct.calcsize(fmt) > len(data):
-        raise CheckpointError(f"{path}: truncated {what} at byte {offset}")
-    return struct.unpack_from(fmt, data, offset)
+class _Source:
+    """A checkpoint file read front to back. Every read is checked against
+    the bytes left, so a length field that overstates the file raises
+    CheckpointError before anything is allocated for it."""
+
+    def __init__(self, f, path):
+        self.f, self.path = f, path
+        self.size = f.seek(0, os.SEEK_END)
+        self.pos = f.seek(0)
+
+    def _take(self, n: int, what: str) -> int:
+        if n > self.size - self.pos:
+            raise CheckpointError(
+                f"{self.path}: truncated {what} at byte {self.pos}")
+        self.pos += n
+        return n
+
+    def read(self, n: int, what: str) -> bytes:
+        return self.f.read(self._take(n, what))
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
+
+    def readinto(self, arr: np.ndarray, what: str) -> None:
+        n = self._take(arr.nbytes, what)
+        if self.f.readinto(arr) != n:
+            raise CheckpointError(f"{self.path}: {what} ends early")
+
+    def skip(self, n: int, what: str) -> None:
+        self.f.seek(self._take(n, what), os.SEEK_CUR)
 
 
-def _read_header(data: bytes, path) -> tuple[dict, int]:
-    if data[:8] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version, = _unpack("<I", data, 8, path, "format version")
+def _read_header(src: _Source) -> dict:
+    if src.read(min(8, src.size), "magic") != MAGIC:
+        raise CheckpointError(f"{src.path}: not a checkpoint file (bad magic)")
+    version, = src.unpack("<I", "format version")
     if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {version} != supported {FORMAT_VERSION}")
-    hlen, = _unpack("<Q", data, 12, path, "header length")
-    if 20 + hlen > len(data):
-        raise CheckpointError(f"{path}: corrupt header (length {hlen})")
+        raise CheckpointError(f"{src.path}: format version {version} != "
+                              f"supported {FORMAT_VERSION}")
+    hlen, = src.unpack("<Q", "header length")
+    if hlen > src.size - src.pos:
+        raise CheckpointError(f"{src.path}: corrupt header (length {hlen})")
     try:
-        header = json.loads(data[20:20 + hlen].decode("utf-8"))
+        return json.loads(src.read(hlen, "header").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"{path}: corrupt header JSON ({e})") from e
-    return header, 20 + hlen
+        raise CheckpointError(f"{src.path}: corrupt header JSON ({e})") from e
 
 
-def _read_tensors(data: bytes, offset: int, path) -> dict[str, np.ndarray]:
-    count, = _unpack("<Q", data, offset, path, "tensor count")
-    offset += 8
-    table: dict[str, np.ndarray] = {}
+def _read_tensors(src: _Source, expected: dict[str, np.ndarray]) -> None:
+    """Read each stored tensor into its array in ``expected``; raise
+    CheckpointError unless the records name exactly the expected tensors,
+    in ascending order, with their shapes and finite values, and end the
+    file."""
+    path = src.path
+    count, = src.unpack("<Q", "tensor count")
+    seen: set[str] = set()
+    unknown: set[str] = set()
+    last = ""
     for _ in range(count):
-        nlen, = _unpack("<H", data, offset, path, "tensor name length")
-        offset += 2
+        nlen, = src.unpack("<H", "tensor name length")
         try:
-            name = data[offset:offset + nlen].decode("utf-8")
+            name = src.read(nlen, "tensor name").decode("utf-8")
         except UnicodeDecodeError as e:
             raise CheckpointError(f"{path}: corrupt tensor name ({e})") from e
-        offset += nlen
-        ndim, = _unpack("<B", data, offset, path, f"rank of tensor '{name}'")
-        offset += 1
-        shape = _unpack(f"<{ndim}I", data, offset, path,
-                        f"shape of tensor '{name}'")
-        offset += 4 * ndim
+        ndim, = src.unpack("<B", f"rank of tensor '{name}'")
+        shape = src.unpack(f"<{ndim}I", f"shape of tensor '{name}'")
         dtype = np.dtype(_stored_dtype(name))
-        nbytes = dtype.itemsize * math.prod(shape)
-        raw = data[offset:offset + nbytes]
-        if len(raw) != nbytes:
+        what = f"payload of tensor '{name}'"
+        dst = expected.get(name)
+        if dst is None:  # reported once every record is read
+            unknown.add(name)
+            src.skip(dtype.itemsize * math.prod(shape), what)
+            continue
+        if name in seen:
+            raise CheckpointError(f"{path}: tensor '{name}' is stored twice")
+        if name < last:
             raise CheckpointError(
-                f"{path}: truncated payload for tensor '{name}'")
-        offset += nbytes
-        table[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    if offset != len(data):
-        raise CheckpointError(f"{path}: {len(data) - offset} trailing bytes")
-    return table
-
-
-def _install(network: Network, table: dict[str, np.ndarray], path,
-             optimizer: str = "sgd") -> None:
-    expected = _tensor_table(network, optimizer)
-    unknown = sorted(set(table) - set(expected))
+                f"{path}: tensor '{name}' is out of order: it follows "
+                f"'{last}', and names must ascend")
+        if shape != dst.shape:
+            raise CheckpointError(
+                f"{path}: tensor '{name}' has shape {shape}, spec "
+                f"expects {dst.shape}")
+        if dst.dtype == dtype and dst.flags.c_contiguous:
+            src.readinto(dst, what)
+        else:  # a header spec that is not float32, or a big-endian host
+            stored = np.empty(shape, dtype)
+            src.readinto(stored, what)
+            dst[...] = stored
+        if not np.isfinite(dst).all():
+            raise CheckpointError(f"{path}: tensor '{name}' has non-finite "
+                                  f"values")
+        seen.add(name)
+        last = name
+    if src.pos != src.size:
+        raise CheckpointError(f"{path}: {src.size - src.pos} trailing bytes")
     if unknown:
         raise CheckpointError(
-            f"{path}: checkpoint contains unknown tensor '{unknown[0]}' "
+            f"{path}: checkpoint contains unknown tensor '{min(unknown)}' "
             f"({len(unknown)} unknown in total)")
-    missing = sorted(set(expected) - set(table))
+    missing = sorted(set(expected) - seen)
     if missing:
         raise CheckpointError(
             f"{path}: checkpoint is missing tensor '{missing[0]}' "
             f"({len(missing)} missing in total)")
-    for name, dst in expected.items():
-        src = table[name]
-        if src.shape != dst.shape:
-            raise CheckpointError(
-                f"{path}: tensor '{name}' has shape {src.shape}, spec "
-                f"expects {dst.shape}")
-        dst[...] = src
 
 
 def _check_optimizer(optimizer, where: str) -> None:
@@ -235,23 +279,23 @@ def _check_header_state(header: dict, max_step: int, path) -> None:
 def load_checkpoint(path) -> tuple[Network, dict]:
     """Rebuild the stored network; returns (network, trainer_state)."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            return _load(_Source(f, path))
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-    header, offset = _read_header(data, path)
+
+
+def _load(src: _Source) -> tuple[Network, dict]:
+    header = _read_header(src)
     try:
         spec = NetworkSpec(**header["spec"])
     except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"{path}: invalid network spec in header ({e})") \
-            from e
-    _check_header_state(header, spec.max_step, path)
-    table = _read_tensors(data, offset, path)
-    del data  # the table holds copies; free the file before the build
-    bad = _first_non_finite(table)
-    if bad is not None:
-        raise CheckpointError(f"{path}: tensor '{bad}' has non-finite values")
+        raise CheckpointError(
+            f"{src.path}: invalid network spec in header ({e})") from e
+    _check_header_state(header, spec.max_step, src.path)
     network = build_network(spec, seed=0)
-    _install(network, table, path, header.get("optimizer", "sgd"))
+    _read_tensors(src, _tensor_table(network, header.get("optimizer", "sgd"),
+                                     create=True))
     network.trained_support = header.get("trained_support")
     return network, {k: header.get(k, v)
                      for k, v in _EMPTY_TRAINER_STATE.items()}

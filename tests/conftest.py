@@ -103,6 +103,44 @@ def poison_checkpoint(src, dst, name, value=float("nan")):
     Path(dst).write_bytes(bytes(raw))
 
 
+def checkpoint_records(raw: bytes):
+    """Checkpoint bytes ``raw`` split into the bytes before the tensor
+    count and a list of (name, record bytes), one per stored tensor."""
+    hlen, = struct.unpack_from("<Q", raw, 12)
+    at = 20 + hlen
+    count, = struct.unpack_from("<Q", raw, at)
+    at += 8
+    records = []
+    for _ in range(count):
+        start = at
+        nlen, = struct.unpack_from("<H", raw, at)
+        name = raw[at + 2:at + 2 + nlen].decode("utf-8")
+        at += 2 + nlen
+        ndim = raw[at]
+        shape = struct.unpack_from(f"<{ndim}I", raw, at + 1)
+        at += 1 + 4 * ndim
+        itemsize = 8 if name.endswith((".adam_m", ".adam_v")) else 4
+        at += itemsize * int(np.prod(shape))
+        records.append((name, raw[start:at]))
+    return raw[:20 + hlen], records
+
+
+def tensor_record(name: str, arr) -> bytes:
+    """One stored float32 tensor record, as a save writes it."""
+    arr = np.ascontiguousarray(arr, dtype="<f4")
+    nbytes = name.encode("utf-8")
+    return (struct.pack("<H", len(nbytes)) + nbytes
+            + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
+            + arr.tobytes())
+
+
+def join_checkpoint(head: bytes, records) -> bytes:
+    """Checkpoint bytes from ``head`` and (name, record bytes) pairs, the
+    inverse of :func:`checkpoint_records`."""
+    return head + struct.pack("<Q", len(records)) \
+        + b"".join(record for _, record in records)
+
+
 @st.composite
 def mutations(draw, blob: bytes) -> bytes:
     """``blob`` after one to three bit flips, insertions of 1-8 random

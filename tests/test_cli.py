@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from conftest import (build_seeded, mutations, poison_checkpoint,
-                      small_r2_spec, small_r3_spec)
+from conftest import (build_seeded, checkpoint_records, mutations,
+                      poison_checkpoint, small_r2_spec, small_r3_spec)
 from rcnet.cli import main
 from rcnet.config import DataConfig, OutputConfig, parse_config
 from rcnet.data import (make_synthetic_classification,
@@ -117,14 +117,14 @@ def edit_stored_header(src, dst, edit):
     import json
     import struct
 
-    from rcnet.checkpoint import _read_header
     raw = Path(src).read_bytes()
-    header, offset = _read_header(raw, str(src))
+    head, _ = checkpoint_records(raw)
+    header = json.loads(head[20:])
     edit(header)
     hbytes = json.dumps(header, sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
     Path(dst).write_bytes(raw[:12] + struct.pack("<Q", len(hbytes)) + hbytes
-                          + raw[offset:])
+                          + raw[len(head):])
 
 
 def readme_config_text():
@@ -1020,10 +1020,9 @@ class TestBadInputExitCodes:
 
     def test_truncated_checkpoint_exit_code_4(self, trained, tmp_path,
                                               capsys):
-        from rcnet.checkpoint import _read_header
         tmp, _ = trained
         raw = (tmp / "run" / "last.ckpt").read_bytes()
-        _, table_start = _read_header(raw, "last.ckpt")
+        table_start = len(checkpoint_records(raw)[0])
         for cut in (14, table_start + 11):  # header length; tensor table
             bad = tmp_path / "last.ckpt"
             bad.write_bytes(raw[:cut])

@@ -1,6 +1,7 @@
 """Dataset loaders, noise statistics, image formats, and checkpoints."""
 
 import hashlib
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import (build_seeded, mutations, poison_checkpoint,
-                      small_r2_spec, small_r3_spec)
+from conftest import (build_seeded, checkpoint_records, join_checkpoint,
+                      mutations, poison_checkpoint, small_r2_spec,
+                      small_r3_spec, tensor_record)
 from rcnet import checkpoint
 from rcnet.checkpoint import load_checkpoint, save_checkpoint
 from rcnet.data import (DenoiseSet, add_gaussian_noise, load_cifar10,
@@ -347,9 +349,16 @@ class TestCheckpoint:
             state = {"iteration": 1, "epoch": 1, "optimizer": optimizer,
                      "updates": 1}
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        held = {name: sorted(p.state) for name, p in
+                net.named_parameters().items()}
         save_checkpoint(a, net, state)
         assert hashlib.sha256(a.read_bytes()).hexdigest() == \
             PINNED_CHECKPOINT_SHA256[optimizer]
+        # a save writes zeros for the buffers a network lacks, and creates
+        # none: without an optimizer, every state stays empty
+        assert {name: sorted(p.state) for name, p in
+                net.named_parameters().items()} == held
+        assert optimizer or not any(held.values())
         save_checkpoint(b, *load_checkpoint(a))
         assert a.read_bytes() == b.read_bytes()
 
@@ -498,17 +507,67 @@ class TestCheckpoint:
         assert list(tmp_path.iterdir()) == [p]
 
     def test_shape_mismatch_diagnostic(self, tmp_path):
-        from rcnet.checkpoint import _install, _read_header, _read_tensors
         net = build_seeded(small_r2_spec(max_step=1))
         p = tmp_path / "x.ckpt"
         save_checkpoint(p, net)
-        data = p.read_bytes()
-        _, offset = _read_header(data, p)
-        table = _read_tensors(data, offset, p)
-        table["stem.bias"] = np.zeros(9, dtype="<f4")
+        head, records = checkpoint_records(p.read_bytes())
+        records = [(name, tensor_record(name, np.zeros(9)) if
+                    name == "stem.bias" else record)
+                   for name, record in records]
+        p.write_bytes(join_checkpoint(head, records))
         with pytest.raises(CheckpointError,
                            match=r"'stem.bias' has shape \(9,\)"):
-            _install(net, table, p)
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("edit", ["appended", "repeated", "swapped"])
+    def test_names_must_ascend(self, tmp_path, edit):
+        # a file that stored a tensor twice once loaded the later copy
+        net = build_seeded(small_r2_spec(widths=(4, 16), max_step=2))
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(p, net)
+        head, records = checkpoint_records(p.read_bytes())
+        first = records[0][0]
+        again = (first, tensor_record(first, np.full(4, 7.0)))
+        if edit == "appended":
+            records.append(again)
+        elif edit == "repeated":
+            records.insert(1, again)
+        else:
+            records[:2] = records[1::-1]
+        p.write_bytes(join_checkpoint(head, records))
+        match = (f"'{records[1][0]}' is out of order" if edit == "swapped"
+                 else f"'{first}' is stored twice")
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(p)
+
+    def test_load_holds_the_file_once_and_infer_adds_no_gradient(
+            self, tmp_path):
+        # the r4 of perfbench's infer_r4 (5.8 MB); its load once peaked
+        # at 2.6x the file and kept a zero gradient per parameter
+        import tracemalloc
+
+        from rcnet.training import infer
+        spec = NetworkSpec(arch="r4", task="classify",
+                           bn_mode="double_independent", max_step=4,
+                           widths=(16, 32, 64, 128), image_shape=(3, 32, 32),
+                           num_classes=10)
+        p = tmp_path / "r4.ckpt"
+        save_checkpoint(p, build_seeded(spec))
+        size = p.stat().st_size
+        x = np.zeros((2, 3, 32, 32), np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            net, _ = load_checkpoint(p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            for step in range(1, spec.max_step + 1):
+                infer(net, x, step)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= size + 2 ** 20, (peak, size)
+        param_bytes = sum(q.data.nbytes for q in net.parameters())
+        assert kept < size + param_bytes, (kept, size, param_bytes)
 
 
 class TestTruncatedFiles:
@@ -524,12 +583,41 @@ class TestTruncatedFiles:
         return tmp, ckpt.read_bytes(), rct.read_bytes()
 
     def test_every_checkpoint_prefix_raises_checkpoint_error(self, files):
-        from rcnet.checkpoint import _read_header, _read_tensors
-        _, ckpt, _ = files
+        tmp, ckpt, _ = files
         for cut in range(len(ckpt)):
+            (tmp / "cut.ckpt").write_bytes(ckpt[:cut])
             with pytest.raises(CheckpointError):
-                _, offset = _read_header(ckpt[:cut], "x.ckpt")
-                _read_tensors(ckpt[:cut], offset, "x.ckpt")
+                load_checkpoint(tmp / "cut.ckpt")
+
+    @pytest.mark.parametrize("field", ["header length", "tensor count",
+                                       "name length", "dims", "unknown dims",
+                                       "name utf-8"])
+    def test_lengths_past_the_end_raise_checkpoint_error(self, files, field):
+        # each must raise CheckpointError before it allocates or decodes
+        # what the field claims: never MemoryError, OverflowError or
+        # UnicodeDecodeError
+        tmp, ckpt, _ = files
+        head, records = checkpoint_records(ckpt)
+        name, record = records[0]
+        body = record[2 + len(name):]          # rank, dims, payload
+        payload = body[1 + 4 * body[0]:]
+        if field == "header length":
+            blob = ckpt[:12] + struct.pack("<Q", 2 ** 64 - 1) + ckpt[20:]
+        elif field == "tensor count":
+            blob = head + struct.pack("<Q", 2 ** 64 - 1) + ckpt[len(head) + 8:]
+        else:
+            if field == "name length":
+                record = struct.pack("<H", 2 ** 16 - 1) + record[2:]
+            elif field == "name utf-8":
+                record = struct.pack("<H", 2) + b"\xff\xfe" + body
+            else:  # a stored or an unknown tensor of 2**32 - 1 elements
+                label = name if field == "dims" else "zz.unknown"
+                record = (struct.pack("<H", len(label)) + label.encode()
+                          + struct.pack("<BI", 1, 2 ** 32 - 1) + payload)
+            blob = join_checkpoint(head, [(name, record)] + records[1:])
+        (tmp / "long.ckpt").write_bytes(blob)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(tmp / "long.ckpt")
 
     def test_every_rct_prefix_raises_data_error(self, files):
         tmp, _, rct = files
