@@ -23,10 +23,10 @@ as zeros without being created, so a save leaves its network as it was.
 Adam's bias correction restarts from the header's ``updates``. Non-finite
 values are refused on save and on load. A save writes ``<path>.tmp`` and
 renames it over ``path``, so an interrupted save leaves the previous file
-intact. A load builds the network from the header, then streams each
-tensor from the file straight into its array: it holds neither the file
-nor a table of copies, and checks every length it reads against the
-bytes left in the file before it allocates anything.
+intact. A load allocates the network the header describes, draws no
+init, and streams each tensor from the file straight into its array: it
+holds neither the file nor a table of copies, and checks every length it
+reads against the bytes left in the file before it allocates anything.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, NumericalCheckError
-from .networks import ExpandedNetwork, Network, NetworkSpec, build_network
+from .networks import ExpandedNetwork, Network, NetworkSpec, allocate_network
 from .optim import OPTIMIZERS, state_buffers
 from .training import RngStreams
 
@@ -293,7 +293,7 @@ def _load(src: _Source) -> tuple[Network, dict]:
         raise CheckpointError(
             f"{src.path}: invalid network spec in header ({e})") from e
     _check_header_state(header, spec.max_step, src.path)
-    network = build_network(spec, seed=0)
+    network = allocate_network(spec)
     _read_tensors(src, _tensor_table(network, header.get("optimizer", "sgd"),
                                      create=True))
     network.trained_support = header.get("trained_support")

@@ -1,6 +1,7 @@
 """Layer blocks: batch-norm parameter groups, shared-weight cell bodies,
 the pipeline-stage protocol, and the conv, pooling and classifier stages
-around the cells.
+around the cells. Stages allocate their weights as zeros, and
+:func:`init_weights` draws them.
 
 Cell bodies keep input and output channel counts equal so they can be
 applied repeatedly; the two supported kinds are the pre-activation
@@ -24,19 +25,15 @@ from .autodiff import Parameter
 CELL_BN_SLOTS = {"preact_resblock": 2, "conv_bn_relu": 1}
 
 
-def he_conv(rng: np.random.Generator, out_ch: int, in_ch: int, k: int,
-            dtype, is_shared: bool = False) -> Parameter:
-    """3x3/1x1 conv weight from N(0, 2/fan_in)."""
-    std = math.sqrt(2.0 / (in_ch * k * k))
-    w = rng.normal(0.0, std, size=(out_ch, in_ch, k, k))
-    return Parameter(w.astype(dtype), is_shared=is_shared)
-
-
-def he_linear(rng: np.random.Generator, out_features: int, in_features: int,
-              dtype) -> Parameter:
-    std = math.sqrt(2.0 / in_features)
-    w = rng.normal(0.0, std, size=(out_features, in_features))
-    return Parameter(w.astype(dtype))
+def init_weights(params, rng: np.random.Generator) -> None:
+    """Draw every parameter of rank >= 2 (the conv and linear weights) from
+    He et al.'s N(0, 2/fan_in), fan_in being the product of the axes after
+    the first, in place and in the order given; the rest keep their
+    values."""
+    for p in params:
+        if p.data.ndim >= 2:
+            std = math.sqrt(2.0 / math.prod(p.shape[1:]))
+            p.data[...] = rng.normal(0.0, std, size=p.shape)
 
 
 @dataclass
@@ -86,13 +83,12 @@ class CellBody:
         return CELL_BN_SLOTS[self.kind]
 
     @staticmethod
-    def create(kind: str, channels: int, rng: np.random.Generator,
-               dtype) -> "CellBody":
+    def create(kind: str, channels: int, dtype) -> "CellBody":
         if kind not in CELL_BN_SLOTS:
             raise ValueError(f"unknown cell kind '{kind}'")
         n_convs = 2 if kind == "preact_resblock" else 1
-        convs = [he_conv(rng, channels, channels, 3, dtype, is_shared=True)
-                 for _ in range(n_convs)]
+        convs = [Parameter(np.zeros((channels, channels, 3, 3), dtype),
+                           is_shared=True) for _ in range(n_convs)]
         return CellBody(kind=kind, convs=convs, channels=channels)
 
 
@@ -180,9 +176,9 @@ class ConvLayer(Module):
     """Single biased 3x3 convolution: the stem lifting image channels to
     the cell width, or the denoise head mapping it back."""
 
-    def __init__(self, in_channels: int, out_channels: int,
-                 rng: np.random.Generator, dtype):
-        self.weight = he_conv(rng, out_channels, in_channels, 3, dtype)
+    def __init__(self, in_channels: int, out_channels: int, dtype):
+        self.weight = Parameter(
+            np.zeros((out_channels, in_channels, 3, 3), dtype))
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype))
 
     def apply(self, x, step, training):
@@ -203,10 +199,9 @@ class ClassifierHead(Module):
 
     bank_names = ("bn",)
 
-    def __init__(self, bank, num_classes: int, rng: np.random.Generator,
-                 dtype):
+    def __init__(self, bank, num_classes: int, dtype):
         self.bn = bank
-        self.weight = he_linear(rng, num_classes, bank.channels, dtype)
+        self.weight = Parameter(np.zeros((num_classes, bank.channels), dtype))
         self.bias = Parameter(np.zeros(num_classes, dtype=dtype))
 
     def apply(self, x, step, training):

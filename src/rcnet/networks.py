@@ -27,7 +27,7 @@ from . import functional as F
 from .autodiff import Parameter, Tape, Tensor
 from .errors import ConfigError
 from .layers import (BnGroup, CellBody, ClassifierHead, ConvLayer, Module,
-                     PoolModule, bn_relu, he_conv)
+                     PoolModule, bn_relu, init_weights)
 from .rc import BN_MODES, BnBank, RcCell, unroll
 
 TASK_BY_ARCH = {"r2": "classify", "r3": "denoise", "r4": "classify"}
@@ -127,13 +127,13 @@ class TransitionModule(Module):
 
     bank_names = ("bn1", "bn2")
 
-    def __init__(self, bn1, bn2, downsample: bool, rng, dtype):
+    def __init__(self, bn1, bn2, downsample: bool, dtype):
         in_ch, out_ch = bn1.channels, bn2.channels
         self.downsample = downsample
         self.bn1, self.bn2 = bn1, bn2
-        self.conv1 = he_conv(rng, out_ch, in_ch, 3, dtype)
-        self.conv2 = he_conv(rng, out_ch, out_ch, 3, dtype)
-        self.proj = (he_conv(rng, out_ch, in_ch, 1, dtype)
+        self.conv1 = Parameter(np.zeros((out_ch, in_ch, 3, 3), dtype))
+        self.conv2 = Parameter(np.zeros((out_ch, out_ch, 3, 3), dtype))
+        self.proj = (Parameter(np.zeros((out_ch, in_ch, 1, 1), dtype))
                      if in_ch != out_ch else None)
 
     def apply(self, x, step, training):
@@ -256,14 +256,17 @@ class ExpandedNetwork(Network):
 
 def build_network(spec: NetworkSpec, seed: int = 0,
                   rng: np.random.Generator | None = None) -> Network:
-    """Construct a network; weight init draws come from ``rng``/``seed``."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    if spec.arch == "r2":
-        return _build_r2(spec, rng)
-    if spec.arch == "r3":
-        return _build_r3(spec, rng)
-    return _build_r4(spec, rng)
+    """Allocate a network and draw its weights from ``rng``/``seed``."""
+    network = allocate_network(spec)
+    init_weights(network.parameters(),
+                 np.random.default_rng(seed) if rng is None else rng)
+    return network
+
+
+def allocate_network(spec: NetworkSpec) -> Network:
+    """The network ``spec`` describes, with zero conv and linear weights;
+    ``parameters()`` lists them in the order ``build_network`` draws them."""
+    return {"r2": _build_r2, "r3": _build_r3, "r4": _build_r4}[spec.arch](spec)
 
 
 def _bank(spec: NetworkSpec, channels: int, slots: int = 1,
@@ -276,41 +279,40 @@ def _bank(spec: NetworkSpec, channels: int, slots: int = 1,
                   spec.bn_eps, spec.bn_momentum, unrolled)
 
 
-def _make_cell(spec: NetworkSpec, width: int, rng,
-               pool_after_half: bool) -> RcCell:
-    body = CellBody.create(spec.cell_kind, width, rng, spec.dtype)
+def _make_cell(spec: NetworkSpec, width: int, pool_after_half: bool) -> RcCell:
+    body = CellBody.create(spec.cell_kind, width, spec.dtype)
     bank = _bank(spec, width, body.bn_slots, unrolled=True)
     return RcCell(body, bank, pool_after_half)
 
 
-def _build_r2(spec: NetworkSpec, rng) -> Network:
+def _build_r2(spec: NetworkSpec) -> Network:
     c = spec.image_shape[0]
     w1, w2 = spec.widths
     mods = [
-        ("stem", ConvLayer(c, w1, rng, spec.dtype)),
-        ("cell1", _make_cell(spec, w1, rng, pool_after_half=True)),
+        ("stem", ConvLayer(c, w1, spec.dtype)),
+        ("cell1", _make_cell(spec, w1, pool_after_half=True)),
         ("invpool", PoolModule("invpool")),
-        ("cell2", _make_cell(spec, w2, rng, pool_after_half=True)),
-        ("head", ClassifierHead(_bank(spec, w2), spec.num_classes, rng,
+        ("cell2", _make_cell(spec, w2, pool_after_half=True)),
+        ("head", ClassifierHead(_bank(spec, w2), spec.num_classes,
                                 spec.dtype)),
     ]
     return Network(spec, mods)
 
 
-def _build_r3(spec: NetworkSpec, rng) -> Network:
+def _build_r3(spec: NetworkSpec) -> Network:
     c = spec.image_shape[0]
     w = spec.widths[0]
-    mods: list = [("stem", ConvLayer(c, w, rng, spec.dtype))]
+    mods: list = [("stem", ConvLayer(c, w, spec.dtype))]
     for i in range(1, 4):
-        mods.append((f"cell{i}", _make_cell(spec, w, rng, pool_after_half=False)))
-    mods.append(("head", ConvLayer(w, c, rng, spec.dtype)))
+        mods.append((f"cell{i}", _make_cell(spec, w, pool_after_half=False)))
+    mods.append(("head", ConvLayer(w, c, spec.dtype)))
     return Network(spec, mods)
 
 
-def _build_r4(spec: NetworkSpec, rng) -> Network:
+def _build_r4(spec: NetworkSpec) -> Network:
     c = spec.image_shape[0]
     widths = spec.widths
-    mods: list = [("stem", ConvLayer(c, widths[0], rng, spec.dtype))]
+    mods: list = [("stem", ConvLayer(c, widths[0], spec.dtype))]
     in_ch = widths[0]
     for i, w in enumerate(widths, start=1):
         # the first transition follows the stem: fixed input statistics.
@@ -320,11 +322,11 @@ def _build_r4(spec: NetworkSpec, rng) -> Network:
         mods.append((f"trans{i}", TransitionModule(
             _bank(spec, in_ch, step_free=fixed),
             _bank(spec, w, step_free=fixed),
-            downsample=i > 1, rng=rng, dtype=spec.dtype)))
-        mods.append((f"cell{i}", _make_cell(spec, w, rng, pool_after_half=False)))
+            downsample=i > 1, dtype=spec.dtype)))
+        mods.append((f"cell{i}", _make_cell(spec, w, pool_after_half=False)))
         in_ch = w
     mods.append(("head", ClassifierHead(_bank(spec, widths[-1]),
-                                        spec.num_classes, rng, spec.dtype)))
+                                        spec.num_classes, spec.dtype)))
     return Network(spec, mods)
 
 
@@ -423,8 +425,8 @@ def step_cost(network: Network, step: int) -> tuple[int, int, int]:
 
 def cost_report(spec: NetworkSpec) -> CostReport:
     """Count parameters, unrolled depth, and per-step conv/linear MACs of
-    the network ``spec`` builds."""
-    network = build_network(spec)
+    the network ``spec`` builds, which need its shapes, not its values."""
+    network = allocate_network(spec)
     costs = {s: step_cost(network, s) for s in range(1, spec.max_step + 1)}
     _, depth, other = costs[spec.max_step]
     total = sum(p.size for p in network.parameters())

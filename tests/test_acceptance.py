@@ -24,7 +24,7 @@ from rcnet.checkpoint import load_checkpoint, save_checkpoint
 from rcnet.data import (DenoiseSet, load_cifar10, make_denoise_eval_set,
                         make_synthetic_classification, make_synthetic_textures,
                         read_pgm, write_pgm)
-from rcnet.layers import BnGroup, CellBody, run_cell_body
+from rcnet.layers import BnGroup, CellBody, init_weights, run_cell_body
 from rcnet.networks import NetworkSpec, cost_report, expand_to_standard
 from rcnet.rc import BnBank, StepDistribution
 from rcnet.training import (TrainConfig, evaluate_classification,
@@ -214,7 +214,8 @@ def test_criterion_2_gradient_suite():
 
     # cell bodies end to end
     rng_body = np.random.default_rng(8)
-    body = CellBody.create("preact_resblock", 4, rng_body, np.float64)
+    body = CellBody.create("preact_resblock", 4, np.float64)
+    init_weights(body.convs, rng_body)
     groups = [BnGroup.create(4, np.float64) for _ in range(2)]
     for gg in groups:
         gg.gamma.data[...] = rng.uniform(0.7, 1.3, 4)
@@ -228,7 +229,8 @@ def test_criterion_2_gradient_suite():
         [xcell, body.convs[0], body.convs[1], groups[0].gamma,
          groups[0].beta, groups[1].gamma, groups[1].beta])
 
-    body2 = CellBody.create("conv_bn_relu", 4, rng_body, np.float64)
+    body2 = CellBody.create("conv_bn_relu", 4, np.float64)
+    init_weights(body2.convs, rng_body)
     g2 = BnGroup.create(4, np.float64)
     results["conv_bn_relu"] = finite_difference_check(
         lambda: F.mse_loss(

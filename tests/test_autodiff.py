@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from rcnet import functional as F
 from rcnet.autodiff import Parameter, Tape, Tensor, backward
-from rcnet.layers import BnGroup, CellBody, run_cell_body
+from rcnet.layers import BnGroup, CellBody, init_weights, run_cell_body
 from rcnet.optim import SGD, Adam, clip_grad_norm, global_grad_norm
 
 
@@ -383,7 +383,8 @@ class TestBatchNorm:
         # ReLU would add a pre-ReLU copy and a bool mask per BN, 7.5 in all
         x = Tensor(rng.standard_normal((50, 16, 16, 16)).astype(np.float32))
         x.requires_grad = True
-        body = CellBody.create("preact_resblock", 16, rng, np.float32)
+        body = CellBody.create("preact_resblock", 16, np.float32)
+        init_weights(body.convs, rng)
         groups = [BnGroup.create(16, np.float32) for _ in range(2)]
         tracemalloc.start()
         try:

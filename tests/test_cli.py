@@ -13,6 +13,8 @@ from hypothesis import HealthCheck, given, settings
 
 from conftest import (build_seeded, checkpoint_records, mutations,
                       poison_checkpoint, small_r2_spec, small_r3_spec)
+from rcnet import cli
+from rcnet.checkpoint import save_checkpoint
 from rcnet.cli import main
 from rcnet.config import DataConfig, OutputConfig, parse_config
 from rcnet.data import (make_synthetic_classification,
@@ -1133,6 +1135,45 @@ class TestCostAndChecks:
             assert code == 0
             assert "pass" in capsys.readouterr().out
         assert peaks[4096] <= peaks[1024] + 256 * 1024
+
+    def test_expand_check_on_a_denoiser(self, tmp_path, capsys):
+        # its inputs are drawn on the 0-255 scale
+        ckpt = tmp_path / "r3.ckpt"
+        save_checkpoint(ckpt, build_seeded(small_r3_spec(width=4, image=8)))
+        assert run_cli(["expand-check", "--checkpoint", ckpt,
+                        "--step", "2"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(" pass")
+
+    def test_expand_check_deviating_twin_exit_code_5(self, tmp_path, capsys,
+                                                     monkeypatch):
+        ckpt = tmp_path / "r2.ckpt"
+        save_checkpoint(ckpt, build_seeded(small_r2_spec(
+            max_step=2, widths=(4, 16))))
+
+        def perturbed(network, step):
+            expanded = expand_to_standard(network, step)
+            expanded.named_parameters()["stem.weight"].data[0, 0, 0, 0] += 1
+            return expanded
+
+        monkeypatch.setattr(cli, "expand_to_standard", perturbed)
+        assert run_cli(["expand-check", "--checkpoint", ckpt,
+                        "--step", "2"]) == 5
+        out, err = capsys.readouterr()
+        assert out.startswith("expand-check step=2 ")
+        assert out.rstrip().endswith(" FAIL")
+        assert "expansion deviates by" in err
+
+    def test_export_features_unknown_cell_exit_code_2(self, tmp_path,
+                                                      capsys):
+        ckpt = tmp_path / "r3.ckpt"
+        save_checkpoint(ckpt, build_seeded(small_r3_spec(width=4, image=8)))
+        write_pgm(tmp_path / "img.pgm", np.full((8, 8), 128.0))
+        assert run_cli(["export-features", "--checkpoint", ckpt,
+                        "--input", tmp_path / "img.pgm", "--cell", "nope",
+                        "--step", "1", "--out-dir", tmp_path / "feat"]) == 2
+        assert "no recurrent cell named 'nope'; cells: ['cell1', 'cell2', " \
+            "'cell3']" in capsys.readouterr().err
+        assert not (tmp_path / "feat").exists()
 
     def test_export_bn_rows_and_header(self, tmp_path):
         cfg = write_cfg(tmp_path, TOY_CLASSIFY, out=tmp_path / "run")

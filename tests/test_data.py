@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (build_seeded, checkpoint_records, join_checkpoint,
-                      mutations, poison_checkpoint, small_r2_spec,
-                      small_r3_spec, tensor_record)
+                      mutations, param_checksums, poison_checkpoint,
+                      small_r2_spec, small_r3_spec, tensor_record)
 from rcnet import checkpoint
 from rcnet.checkpoint import load_checkpoint, save_checkpoint
 from rcnet.data import (DenoiseSet, add_gaussian_noise, load_cifar10,
@@ -19,7 +19,8 @@ from rcnet.data import (DenoiseSet, add_gaussian_noise, load_cifar10,
                         psnr, read_pgm, read_rct, write_pgm, write_rct)
 from rcnet.errors import (CheckpointError, DataError, NumericalCheckError,
                           RcnetError)
-from rcnet.networks import NetworkSpec, build_network, expand_to_standard
+from rcnet.networks import (NetworkSpec, build_network, cost_report,
+                            expand_to_standard)
 from rcnet.optim import SGD, Adam
 
 
@@ -427,6 +428,72 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError,
                            match="unknown tensor 'stem.bios'"):
             load_checkpoint(bad)
+
+    def test_missing_tensor_diagnostic(self, tmp_path):
+        net = build_seeded(small_r2_spec(max_step=1))
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(p, net)
+        head, records = checkpoint_records(p.read_bytes())
+        dropped, _ = records.pop(3)
+        p.write_bytes(join_checkpoint(head, records))
+        with pytest.raises(CheckpointError,
+                           match=rf"missing tensor '{dropped}' "
+                                 r"\(1 missing in total\)"):
+            load_checkpoint(p)
+
+    def test_trailing_bytes_refused(self, tmp_path):
+        net = build_seeded(small_r2_spec(max_step=1))
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(p, net)
+        p.write_bytes(p.read_bytes() + b"\0")
+        with pytest.raises(CheckpointError, match="1 trailing bytes"):
+            load_checkpoint(p)
+
+    def test_float64_header_spec_loads_the_stored_values(self, tmp_path):
+        # the payload stays float32 and is converted on read, the branch
+        # that also serves a big-endian host
+        net = build_seeded(small_r2_spec(bn_mode="double_independent",
+                                         max_step=2, widths=(4, 16)))
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(p, net)
+        raw = p.read_bytes()
+        head, _ = checkpoint_records(raw)
+        f32, f64 = b'"precision":"float32"', b'"precision":"float64"'
+        assert head.count(f32) == 1
+        p.write_bytes(head.replace(f32, f64) + raw[len(head):])
+        loaded, _ = load_checkpoint(p)
+        assert loaded.spec.precision == "float64"
+
+        def arrays(network):
+            return {**{name: q.data for name, q in
+                       network.named_parameters().items()},
+                    **network.named_buffers()}
+
+        want, got = arrays(net), arrays(loaded)
+        assert got.keys() == want.keys()
+        for name, arr in got.items():
+            assert arr.dtype == np.float64, name
+            npt.assert_array_equal(arr, want[name])
+
+    def test_load_and_cost_report_draw_no_init(self, tmp_path, monkeypatch):
+        # a load reads every value from the file and a cost report needs
+        # only the shapes, so neither draws weights
+        spec = NetworkSpec(arch="r4", task="classify",
+                           bn_mode="double_independent", max_step=2,
+                           widths=(4, 8, 16, 32), image_shape=(3, 8, 8),
+                           num_classes=3)
+        net = build_seeded(spec)
+        p = tmp_path / "r4.ckpt"
+        save_checkpoint(p, net)
+        want = cost_report(spec)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded, _ = load_checkpoint(p)
+        assert param_checksums(loaded) == param_checksums(net)
+        assert cost_report(spec) == want
 
     @pytest.mark.parametrize("optimizer", ["foo", ["sgd"], None],
                              ids=["foo", "list", "none"])

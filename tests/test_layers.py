@@ -9,18 +9,22 @@ import pytest
 from rcnet import functional as F
 from rcnet.autodiff import Tensor
 from rcnet.layers import (BnGroup, CellBody, ClassifierHead, ConvLayer,
-                          run_cell_body)
+                          init_weights, run_cell_body)
 from rcnet.rc import BnBank
 
 
 @pytest.fixture
 def preact_body(rng):
-    return CellBody.create("preact_resblock", 4, rng, np.float64)
+    body = CellBody.create("preact_resblock", 4, np.float64)
+    init_weights(body.convs, rng)
+    return body
 
 
 @pytest.fixture
 def cbr_body(rng):
-    return CellBody.create("conv_bn_relu", 4, rng, np.float64)
+    body = CellBody.create("conv_bn_relu", 4, np.float64)
+    init_weights(body.convs, rng)
+    return body
 
 
 def groups_for(body, dtype=np.float64):
@@ -93,13 +97,15 @@ class TestCellBody:
 
 class TestStemHead:
     def test_stem_output_channels(self, rng):
-        stem = ConvLayer(3, 8, rng, np.float32)
+        stem = ConvLayer(3, 8, np.float32)
+        init_weights([stem.weight], rng)
         y = stem.apply(Tensor(np.zeros((2, 3, 8, 8), np.float32)), 1, False)
         assert y.shape == (2, 8, 8, 8)
 
     def test_head_on_constant_map_is_linear_of_constant(self, rng):
         bank = BnBank("none", 1, 1, 4, np.float64, unrolled=False)
-        head = ClassifierHead(bank, 3, rng, np.float64)
+        head = ClassifierHead(bank, 3, np.float64)
+        init_weights([head.weight], rng)
         c = 0.7
         x = Tensor(np.full((2, 4, 5, 5), c))
         y = head.apply(x, 1, False)
@@ -107,7 +113,8 @@ class TestStemHead:
         npt.assert_allclose(y.data, np.stack([want, want]), rtol=1e-12)
 
     def test_denoise_head_shape(self, rng):
-        head = ConvLayer(8, 1, rng, np.float32)
+        head = ConvLayer(8, 1, np.float32)
+        init_weights([head.weight], rng)
         y = head.apply(Tensor(np.zeros((2, 8, 16, 16), np.float32)), 1,
                        False)
         assert y.shape == (2, 1, 16, 16)
@@ -115,7 +122,8 @@ class TestStemHead:
     def test_banked_head_selects_by_step(self, rng):
         bank = BnBank("double_independent", 3, 1, 4, np.float64,
                       unrolled=False)
-        head = ClassifierHead(bank, 3, rng, np.float64)
+        head = ClassifierHead(bank, 3, np.float64)
+        init_weights([head.weight], rng)
         assert bank.n_groups == 3
         x = Tensor(rng.standard_normal((2, 4, 4, 4)))
         head.apply(x, 2, True)
@@ -123,7 +131,8 @@ class TestStemHead:
 
     def test_unbanked_head_single_group(self, rng):
         bank = BnBank("independent", 3, 1, 4, np.float64, unrolled=False)
-        head = ClassifierHead(bank, 3, rng, np.float64)
+        head = ClassifierHead(bank, 3, np.float64)
+        init_weights([head.weight], rng)
         assert bank.n_groups == 1
         labels = [(n, a) for n, a, _ in head.named_bn_groups("head")]
         assert labels == [("head.bn", (0, 0, 0))]

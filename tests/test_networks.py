@@ -1,5 +1,6 @@
 """Architecture builders, expansion oracle, and cost accounting."""
 
+import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -9,11 +10,12 @@ import numpy.testing as npt
 import pytest
 
 from conftest import build_seeded, small_r2_spec, small_r3_spec
-from rcnet.autodiff import Tape, Tensor, backward
+from rcnet.autodiff import Parameter, Tape, Tensor, backward
 from rcnet.errors import ConfigError
 from rcnet import functional as F
-from rcnet.networks import (NetworkSpec, build_network, cost_report,
-                            expand_to_standard)
+from rcnet.layers import init_weights
+from rcnet.networks import (NetworkSpec, allocate_network, build_network,
+                            cost_report, expand_to_standard)
 from rcnet.optim import SGD, Adam
 from rcnet.training import infer
 
@@ -256,6 +258,39 @@ def small_spec(arch, bn_mode, max_step, precision="float32"):
                        precision=precision)
 
 
+# SHA-256 of the bytes of every parameter, in parameters() order, of
+# build_network(small_spec(arch, "double_independent", 2), seed=3): each
+# weight's He draw, in the order the builders first drew them
+PINNED_INIT_SHA256 = {
+    "r2": "ce4cbb24ae277894a6eddc8e9f19c88eb3237aab785f690815e1366e64487220",
+    "r3": "0e3a29f77a186f47477c3ba4c245107260e3b414db14b584be0c968af30beaac",
+    "r4": "a4002b5e4856ee280e9f0d45ef8af445511a3951bfb58de0ef9031cbc517ea07",
+}
+
+
+class TestInitWeights:
+    @pytest.mark.parametrize("arch", sorted(PINNED_INIT_SHA256))
+    def test_draws_are_pinned(self, arch):
+        spec = small_spec(arch, "double_independent", 2)
+        raw = b"".join(p.data.tobytes()
+                       for p in build_network(spec, seed=3).parameters())
+        assert hashlib.sha256(raw).hexdigest() == PINNED_INIT_SHA256[arch]
+        assert not any(p.data.any() for p in
+                       allocate_network(spec).parameters() if p.data.ndim > 1)
+
+    def test_he_normal_in_place_on_weights_only(self):
+        params = [Parameter(np.zeros((64, 32, 3, 3), np.float32)),
+                  Parameter(np.ones(64, np.float32)),
+                  Parameter(np.zeros((100, 512)))]
+        arrays = [p.data for p in params]
+        init_weights(params, np.random.default_rng(0))
+        assert all(p.data is a for p, a in zip(params, arrays))
+        assert params[0].data.dtype == np.float32
+        npt.assert_allclose(params[0].data.std(), (2 / 288) ** 0.5, rtol=0.02)
+        npt.assert_array_equal(params[1].data, 1.0)
+        npt.assert_allclose(params[2].data.std(), (2 / 512) ** 0.5, rtol=0.02)
+
+
 class TestFrozenBnLayout:
     @pytest.mark.parametrize("key", sorted(FROZEN_BN_LAYOUT))
     def test_layout(self, key):
@@ -483,3 +518,12 @@ def test_classifier_eval_forward_is_batch_invariant(arch, rng):
     for i in range(len(x)):
         npt.assert_array_equal(
             batched[i], net.forward(x[i:i + 1], 2, training=False).data[0])
+
+
+@pytest.mark.parametrize("step", [0, 4])
+def test_forward_refuses_a_step_outside_max_step(step):
+    # Network.forward's own check, not check_serving_step's ConfigError
+    net = build_seeded(small_spec("r2", "independent", 3))
+    with pytest.raises(ValueError, match=r"outside \[1, 3\]") as info:
+        net.forward(np.zeros((1, 3, 8, 8), np.float32), step, training=False)
+    assert info.type is ValueError

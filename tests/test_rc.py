@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcnet.autodiff import Tensor
-from rcnet.layers import CellBody, run_cell_body
+from rcnet.layers import CellBody, init_weights, run_cell_body
 from rcnet.rc import BnBank, RcCell, StepDistribution, unroll
 
 
 def make_cell(rng, mode="independent", max_step=3, channels=4,
               kind="conv_bn_relu", pool=False, dtype=np.float64):
-    body = CellBody.create(kind, channels, rng, dtype)
+    body = CellBody.create(kind, channels, dtype)
+    init_weights(body.convs, rng)
     bank = BnBank(mode, max_step, body.bn_slots, channels, dtype)
     return RcCell(body, bank, pool_after_half=pool)
 
@@ -109,7 +110,8 @@ class TestBankArithmetic:
         assert BnBank("none", 3, 1, 4).untie(2, 1).select(1, 1) is None
 
     def test_slot_mismatch_with_body_rejected(self, rng):
-        body = CellBody.create("preact_resblock", 4, rng, np.float64)
+        body = CellBody.create("preact_resblock", 4, np.float64)
+        init_weights(body.convs, rng)
         bank = BnBank("independent", 3, 1, 4)
         with pytest.raises(ValueError, match="slots"):
             RcCell(body, bank)
