@@ -18,15 +18,15 @@ the optimizer buffers that ``optim`` declares float64 (Adam's moments):
 double-precision networks are a verification mode and are refused rather
 than silently truncated. Each parameter's optimizer state is the buffers
 that the header ``optimizer``'s update rule declares in its ``STATE``,
-stored as ``<name>.<key>``; a buffer the network does not hold is written
-as zeros without being created, so a save leaves its network as it was.
-Adam's bias correction restarts from the header's ``updates``. Non-finite
-values are refused on save and on load. A save writes ``<path>.tmp`` and
-renames it over ``path``, so an interrupted save leaves the previous file
-intact. A load allocates the network the header describes, draws no
-init, and streams each tensor from the file straight into its array: it
-holds neither the file nor a table of copies, and checks every length it
-reads against the bytes left in the file before it allocates anything.
+stored as ``<name>.<key>`` for every parameter or, as before a first step,
+for none; a partial set is refused on save and on load. Adam's bias
+correction restarts from the header's ``updates``. Non-finite values are
+refused on save and on load. A save writes ``<path>.tmp`` and renames it
+over ``path``, so an interrupted save leaves the previous file intact. A
+load allocates the network the header describes, draws no init, and
+streams each tensor from the file straight into its array: it holds
+neither the file nor a table of copies, and checks every length it reads
+against the bytes left in the file before it allocates anything.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import CheckpointError, NumericalCheckError
 from .networks import ExpandedNetwork, Network, NetworkSpec, allocate_network
-from .optim import OPTIMIZERS, state_buffers
+from .optim import OPTIMIZERS
 from .training import RngStreams
 
 MAGIC = b"RCNETCKP"
@@ -59,31 +59,34 @@ def _stored_dtype(name: str) -> str:
     return "<f8" if name.endswith(_FLOAT64_SUFFIXES) else "<f4"
 
 
-def _tensor_table(network: Network, optimizer: str = "sgd",
-                  create: bool = False) -> dict[str, np.ndarray]:
-    """Every tensor a checkpoint of ``network`` stores, by name; missing
-    optimizer buffers are created only when ``create`` (a load reads into
-    them)."""
-    table: dict[str, np.ndarray] = {}
-    for name, p in network.named_parameters().items():
-        table[name] = p.data
-        for key, buf in state_buffers(p, OPTIMIZERS[optimizer],
-                                      create).items():
-            table[f"{name}.{key}"] = buf
+def _optimizer_buffers(network: Network, optimizer: str) -> dict:
+    """Name -> (parameter, key, dtype) of each ``optimizer`` buffer."""
+    return {f"{name}.{key}": (p, key, dtype or p.dtype)
+            for name, p in network.named_parameters().items()
+            for key, dtype in OPTIMIZERS[optimizer].STATE.items()}
+
+
+def _tensor_table(network: Network, optimizer: str = "sgd") -> dict:
+    """Every tensor a checkpoint of ``network`` stores, by name."""
+    table = {name: p.data for name, p in network.named_parameters().items()}
     table.update(network.named_buffers())
+    table.update((name, p.state[key]) for name, (p, key, _) in
+                 _optimizer_buffers(network, optimizer).items()
+                 if key in p.state)
     return table
 
 
-def _first_non_finite(table: dict[str, np.ndarray]) -> str | None:
-    return next((name for name in sorted(table)
-                 if not np.isfinite(table[name]).all()), None)
+def _check_all_or_none(names, buffers: dict, where: str) -> None:
+    missing = sorted(buffers.keys() - names)
+    if 0 < len(missing) < len(buffers):
+        raise CheckpointError(
+            f"{where} optimizer state for some parameters only: "
+            f"'{missing[0]}' is missing ({len(missing)} missing in total)")
 
 
 def save_checkpoint(path, network: Network,
                     trainer_state: dict | None = None) -> None:
-    """Write ``network`` and ``trainer_state`` to ``path``. An optimizer
-    buffer the network does not hold is written as zeros; the save creates
-    none, so it leaves the network as it was."""
+    """Write ``network`` and ``trainer_state`` to ``path``."""
     if network.spec.precision != "float32":
         raise CheckpointError(
             "checkpoints store float32 tensors; a "
@@ -107,7 +110,10 @@ def save_checkpoint(path, network: Network,
     hbytes = json.dumps(header, sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
     table = _tensor_table(network, state["optimizer"])
-    bad = _first_non_finite(table)
+    buffers = _optimizer_buffers(network, state["optimizer"])
+    _check_all_or_none(table.keys(), buffers, f"not writing {path}: it holds")
+    bad = next((name for name in sorted(table)
+                if not np.isfinite(table[name]).all()), None)
     if bad is not None:
         raise NumericalCheckError(
             f"tensor '{bad}' has non-finite values; not writing {path}")
@@ -182,11 +188,11 @@ def _read_header(src: _Source) -> dict:
         raise CheckpointError(f"{src.path}: corrupt header JSON ({e})") from e
 
 
-def _read_tensors(src: _Source, expected: dict[str, np.ndarray]) -> None:
-    """Read each stored tensor into its array in ``expected``; raise
-    CheckpointError unless the records name exactly the expected tensors,
-    in ascending order, with their shapes and finite values, and end the
-    file."""
+def _read_tensors(src: _Source, expected: dict, buffers: dict) -> None:
+    """Read each stored tensor into its array in ``expected`` or into a new
+    one of ``buffers``; raise CheckpointError unless the records name the
+    expected tensors and all or none of ``buffers``, in ascending order,
+    with their shapes and finite values, and end the file."""
     path = src.path
     count, = src.unpack("<Q", "tensor count")
     seen: set[str] = set()
@@ -203,6 +209,9 @@ def _read_tensors(src: _Source, expected: dict[str, np.ndarray]) -> None:
         dtype = np.dtype(_stored_dtype(name))
         what = f"payload of tensor '{name}'"
         dst = expected.get(name)
+        if dst is None and name in buffers:  # spec-sized, read into below
+            p, key, buf_dtype = buffers[name]
+            dst = p.state[key] = np.empty(p.shape, buf_dtype)
         if dst is None:  # reported once every record is read
             unknown.add(name)
             src.skip(dtype.itemsize * math.prod(shape), what)
@@ -239,6 +248,7 @@ def _read_tensors(src: _Source, expected: dict[str, np.ndarray]) -> None:
         raise CheckpointError(
             f"{path}: checkpoint is missing tensor '{missing[0]}' "
             f"({len(missing)} missing in total)")
+    _check_all_or_none(seen, buffers, f"{path}: checkpoint stores")
 
 
 def _check_optimizer(optimizer, where: str) -> None:
@@ -294,8 +304,8 @@ def _load(src: _Source) -> tuple[Network, dict]:
             f"{src.path}: invalid network spec in header ({e})") from e
     _check_header_state(header, spec.max_step, src.path)
     network = allocate_network(spec)
-    _read_tensors(src, _tensor_table(network, header.get("optimizer", "sgd"),
-                                     create=True))
+    _read_tensors(src, _tensor_table(network), _optimizer_buffers(
+        network, header.get("optimizer", "sgd")))
     network.trained_support = header.get("trained_support")
     return network, {k: header.get(k, v)
                      for k, v in _EMPTY_TRAINER_STATE.items()}

@@ -22,9 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (DenoiseSet, load_cifar10, load_pgm_folder,
-                   make_denoise_eval_set, make_synthetic_classification,
-                   make_synthetic_textures)
+from . import data
 from .errors import ConfigError, DataError
 from .networks import TASK_BY_ARCH, NetworkSpec
 from .rc import StepDistribution
@@ -278,11 +276,11 @@ def build_datasets(cfg: ExperimentConfig):
     spec, da, seed = cfg.network, cfg.data, cfg.train.seed
     c, h, _ = spec.image_shape
     if da.kind == "synthetic_classify":
-        train = make_synthetic_classification(
+        train = data.make_synthetic_classification(
             spec.num_classes, da.samples, h,
             np.random.SeedSequence([seed, 11]), channels=c,
             noise=da.pattern_noise)
-        test = make_synthetic_classification(
+        test = data.make_synthetic_classification(
             spec.num_classes, da.test_samples, h,
             np.random.SeedSequence([seed, 12]), channels=c,
             noise=da.pattern_noise)
@@ -291,20 +289,21 @@ def build_datasets(cfg: ExperimentConfig):
         if not Path(da.path).is_dir():  # one file: train set = test set
             raise DataError(f"cannot read CIFAR shards from {da.path}: not "
                             f"a directory of train and test shards")
-        return load_cifar10(da.path, "train"), load_cifar10(da.path, "test")
+        return (data.load_cifar10(da.path, "train"),
+                data.load_cifar10(da.path, "test"))
     if da.kind == "synthetic_denoise":
-        clean_train = make_synthetic_textures(
+        clean_train = data.make_synthetic_textures(
             da.count, h, np.random.SeedSequence([seed, 21]))
-        clean_test = make_synthetic_textures(
+        clean_test = data.make_synthetic_textures(
             da.test_count, h, np.random.SeedSequence([seed, 22]))
     elif da.kind == "pgm_folder":
         root = Path(da.path)
-        clean_train = load_pgm_folder(root / "train")
-        clean_test = load_pgm_folder(root / "test")
+        clean_train = data.load_pgm_folder(root / "train")
+        clean_test = data.load_pgm_folder(root / "test")
     else:
         raise DataError(f"unhandled data kind '{da.kind}'")
-    train = DenoiseSet(clean=clean_train, sigma=da.sigma,
-                       patch_size=da.patch_size)
-    test = make_denoise_eval_set(clean_test, da.sigma,
-                                 np.random.SeedSequence([seed, 23]))
+    train = data.DenoiseSet(clean=clean_train, sigma=da.sigma,
+                            patch_size=da.patch_size)
+    test = data.make_denoise_eval_set(clean_test, da.sigma,
+                                      np.random.SeedSequence([seed, 23]))
     return train, test

@@ -16,23 +16,14 @@ import numpy as np
 from .autodiff import Parameter
 
 
-def state_buffers(p: Parameter, rule,
-                  create: bool = True) -> dict[str, np.ndarray]:
+def state_buffers(p: Parameter, rule) -> dict[str, np.ndarray]:
     """``p``'s buffers for the update rule ``rule`` (one with ``STATE``).
-    One already there, such as one a checkpoint loaded, is kept. A missing
-    one is created as zeros in ``p.state``; with ``create=False`` (a
-    checkpoint save) it is a read-only zero view, and ``p.state`` is left
-    as it was."""
-    out = {}
+    One already there (a checkpoint loaded it) is kept; a missing one (the
+    checkpoint stored none) is created as zeros in ``p.state``."""
     for key, dtype in rule.STATE.items():
-        dtype = dtype or p.dtype
-        if key in p.state:
-            out[key] = p.state[key]
-        elif create:
-            out[key] = p.state[key] = np.zeros(p.shape, dtype)
-        else:
-            out[key] = np.broadcast_to(np.zeros((), dtype), p.shape)
-    return out
+        if key not in p.state:
+            p.state[key] = np.zeros(p.shape, dtype or p.dtype)
+    return {key: p.state[key] for key in rule.STATE}
 
 
 class _UpdateRule:

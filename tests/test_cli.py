@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from conftest import (build_seeded, checkpoint_records, mutations,
-                      poison_checkpoint, small_r2_spec, small_r3_spec)
+from conftest import (build_seeded, checkpoint_records, join_checkpoint,
+                      mutations, poison_checkpoint, small_r2_spec,
+                      small_r3_spec)
 from rcnet import cli
 from rcnet.checkpoint import save_checkpoint
 from rcnet.cli import main
@@ -364,10 +365,13 @@ class TestTrainCommand:
         assert (tmp_path / "r1" / "metrics.csv").read_bytes() == \
             (tmp_path / "r2" / "metrics.csv").read_bytes()
 
-    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize("optimizer", ["sgd", "sgd\nmomentum = 0",
+                                           "adam"],
+                             ids=["sgd", "sgd-momentum-0", "adam"])
     def test_resume_is_bit_exact(self, tmp_path, optimizer):
         # an epoch-1 checkpoint resumed to epoch 2 gives the bytes of the
-        # uninterrupted 2-epoch run: weights, optimizer state, metrics
+        # uninterrupted 2-epoch run: weights, optimizer state, metrics;
+        # SGD without momentum holds no buffer, so its checkpoints store none
         text = TOY_CLASSIFY.replace(
             "lr = 0.05", f"lr = 0.05\noptimizer = {optimizer}")
         two = text.replace("epochs = 1", "epochs = 2")
@@ -381,6 +385,10 @@ class TestTrainCommand:
         full, part = tmp_path / "full", tmp_path / "part2"
         assert (full / "last.ckpt").read_bytes() == \
             (part / "last.ckpt").read_bytes()
+        names = [name for name, _ in checkpoint_records(
+            (tmp_path / "part1" / "last.ckpt").read_bytes())[1]]
+        assert any(name.endswith((".momentum", ".adam_m")) for name in names) \
+            == (optimizer != "sgd\nmomentum = 0")
         rows = (part / "metrics.csv").read_text().splitlines()[1:]
         assert (full / "metrics.csv").read_text().splitlines()[-len(rows):] \
             == rows
@@ -1031,6 +1039,28 @@ class TestBadInputExitCodes:
             assert run_cli(["expand-check", "--checkpoint", bad,
                             "--step", "2"]) == 4
             assert "truncated" in capsys.readouterr().err
+
+    def test_partial_optimizer_state_exit_code_4(self, trained, tmp_path):
+        # a checkpoint holds the momentum of every parameter or of none
+        import rcnet
+        tmp, cfg = trained
+        head, records = checkpoint_records(
+            (tmp / "run" / "last.ckpt").read_bytes())
+        dropped = next(name for name, _ in records
+                       if name.endswith(".momentum"))
+        bad = tmp_path / "partial.ckpt"
+        bad.write_bytes(join_checkpoint(
+            head, [r for r in records if r[0] != dropped]))
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(rcnet.__file__).parents[1]))
+        r = subprocess.run([sys.executable, "-m", "rcnet", "eval",
+                            "--checkpoint", str(bad), "--config", str(cfg),
+                            "--step", "3", "--out-dir", str(tmp_path / "ev")],
+                           env=env, capture_output=True, text=True)
+        assert r.returncode == 4
+        assert "Traceback" not in r.stderr
+        assert f"optimizer state for some parameters only: '{dropped}' " \
+               "is missing (1 missing in total)" in r.stderr
 
     def test_rct_with_cut_header_exit_code_3(self, trained, tmp_path,
                                              capsys):

@@ -316,7 +316,7 @@ class TestRct:
 # optimizer and after one SGD or Adam step; the values are elementwise
 # float arithmetic (no BLAS), so the hashes hold on any machine
 PINNED_CHECKPOINT_SHA256 = {
-    None: "2f1e6cf5b1df508c360a6550d26ec65e72ddeef305c0e3c8efedaab784c33a33",
+    None: "7dd92eb6b553fbc937a5e585cc44e46471928e250bb132b3fc0ef003eec24111",
     "sgd": "23e4074736045ecd62bd912462c77cf37b546be14714a40f0f9f35ab5ae441e3",
     "adam": "3b79caf385cbb6710065e0b0f3d16e79f63ff549764b8c3289e5ecb67935f60d",
 }
@@ -355,8 +355,8 @@ class TestCheckpoint:
         save_checkpoint(a, net, state)
         assert hashlib.sha256(a.read_bytes()).hexdigest() == \
             PINNED_CHECKPOINT_SHA256[optimizer]
-        # a save writes zeros for the buffers a network lacks, and creates
-        # none: without an optimizer, every state stays empty
+        # a save creates no buffer: without an optimizer, every state
+        # stays empty and the file stores none
         assert {name: sorted(p.state) for name, p in
                 net.named_parameters().items()} == held
         assert optimizer or not any(held.values())
@@ -381,20 +381,89 @@ class TestCheckpoint:
         assert a.read_bytes() == b.read_bytes()
 
     def test_name_bijection_with_spec(self, tmp_path):
+        # a network that never took a step stores no optimizer buffer; one
+        # that took an SGD step stores the momentum of every parameter
         from rcnet.checkpoint import _tensor_table
         net = build_seeded(small_r2_spec(bn_mode="double_independent",
                                          max_step=3))
-        table = _tensor_table(net)
         params = set(net.named_parameters())
-        momenta = {f"{n}.momentum" for n in params}
         buffers = set(net.named_buffers())
-        assert set(table) == params | momenta | buffers
+        for momenta in (set(), {f"{n}.momentum" for n in params}):
+            if momenta:
+                SGD(net.parameters(), 0.1, momentum=0.9).step()
+            table = _tensor_table(net)
+            assert set(table) == params | momenta | buffers
         # every bank address appears
         for name, mod in net.modules:
             if mod.recurrent:
                 for addr in range(mod.bank.n_addresses):
                     label = mod.bank.address_name(addr)
                     assert f"{name}.bank.{label}.slot0.gamma" in table
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_fresh_network_stores_and_loads_no_optimizer_state(
+            self, tmp_path, optimizer):
+        net = build_seeded(small_r2_spec(bn_mode="double_independent"))
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(p, net, {"optimizer": optimizer})
+        _, records = checkpoint_records(p.read_bytes())
+        names = [name for name, _ in records]
+        assert len(names) == len(net.named_parameters()) + \
+            len(net.named_buffers())
+        assert not [n for n in names
+                    if n.endswith((".momentum", ".adam_m", ".adam_v"))]
+        loaded, state = load_checkpoint(p)
+        assert state["optimizer"] == optimizer
+        assert all(q.state == {} for q in loaded.parameters())
+
+    def test_partial_optimizer_state_refused(self, tmp_path):
+        # through the library every parameter holds the buffers or none
+        # does; a file or a hand-built state with some is refused
+        net = build_seeded(small_r2_spec(max_step=1))
+        SGD(net.parameters(), 0.1, momentum=0.9).step()
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(p, net)
+        head, records = checkpoint_records(p.read_bytes())
+        momenta = [name for name, _ in records if name.endswith(".momentum")]
+        assert len(momenta) == len(net.named_parameters())
+        for keep in (momenta[:1], momenta[1:]):
+            p.write_bytes(join_checkpoint(head, [
+                r for r in records
+                if not r[0].endswith(".momentum") or r[0] in keep]))
+            n = len(momenta) - len(keep)
+            with pytest.raises(CheckpointError,
+                               match=rf"x\.ckpt: checkpoint stores optimizer "
+                                     rf"state for some parameters only: "
+                                     rf"'.*\.momentum' is missing \({n} "
+                                     rf"missing in total\)"):
+                load_checkpoint(p)
+        del net.named_parameters()["stem.weight"].state["momentum"]
+        with pytest.raises(CheckpointError,
+                           match=r"not writing .*y\.ckpt: it holds optimizer "
+                                 r"state for some parameters only: "
+                                 r"'stem\.weight\.momentum' is missing"):
+            save_checkpoint(tmp_path / "y.ckpt", net)
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_file_with_zero_buffers_loads_and_resaves_identically(
+            self, tmp_path):
+        # files written before the all-or-none rule stored a zero momentum
+        # for every parameter of a network that never took a step
+        net = build_seeded(small_r2_spec(bn_mode="double_independent"))
+        stateless, old = tmp_path / "stateless.ckpt", tmp_path / "old.ckpt"
+        save_checkpoint(stateless, net)
+        head, records = checkpoint_records(stateless.read_bytes())
+        records += [(f"{name}.momentum",
+                     tensor_record(f"{name}.momentum", np.zeros(q.shape)))
+                    for name, q in net.named_parameters().items()]
+        old.write_bytes(join_checkpoint(head, sorted(records)))
+        loaded, state = load_checkpoint(old)
+        for q in loaded.parameters():
+            assert list(q.state) == ["momentum"] and not q.state[
+                "momentum"].any()
+        resaved = tmp_path / "resaved.ckpt"
+        save_checkpoint(resaved, loaded, state)
+        assert resaved.read_bytes() == old.read_bytes()
 
     def test_corrupt_magic_header_and_names(self, tmp_path):
         net = build_seeded(small_r2_spec(max_step=1))
