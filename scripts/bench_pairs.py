@@ -11,9 +11,12 @@ Pair i runs ``perfbench/run.py --workload W --seed first_seed+i --trace 0``
 in both trees for the benchmark's ``run_seconds``, the parent first in
 even pairs and the change first in odd ones, and keeps the last JSON line
 of each run. The output file holds, per workload, every pair, each side's
-median and quartiles of every end-to-end metric and the number of pairs
-the change won on it, plus the parent's environment fingerprint. Running
-it again with another workload adds that workload to an existing file.
+median and quartiles of every end-to-end metric, the number of pairs the
+change won on it, the relative change of the medians and whether that
+change is within the metric's bound, plus the parent's environment
+fingerprint. Which way is better and the bound of each metric are read
+from the change tree's BENCHMARK.json. Running it again with another
+workload adds that workload to an existing file.
 """
 
 import argparse
@@ -22,9 +25,6 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-# metrics of perfbench's end-to-end set where a lower value is better
-LOWER_IS_BETTER = ("peak_rss_mb", "setup_s")
 
 
 def run_once(tree: Path, workload: str, seed: int):
@@ -37,21 +37,28 @@ def run_once(tree: Path, workload: str, seed: int):
     return json.loads(lines[-1]), json.loads(lines[-2])["detail"]
 
 
-def summarize(pairs):
-    """Per metric: each side's median and quartiles, and the change's wins."""
+def summarize(pairs, benchmark):
+    """Per metric: each side's median and quartiles, the change's wins, and
+    the relative change of the medians against the metric's ``bound`` in
+    ``benchmark`` (a parsed BENCHMARK.json)."""
+    rules = {m["name"]: m for m in benchmark["end_to_end"]}
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
         sides = {side: [p[side]["metrics"][name]["value"] for p in pairs]
                  for side in ("parent", "change")}
-        lower = name in LOWER_IS_BETTER
-        wins = sum((c < p) if lower else (c > p)
+        better, bound = rules[name]["better"], rules[name]["bound"]
+        # sign * (c - p) > 0: the change's value c is the better one
+        sign = -1 if better == "lower" else 1
+        wins = sum(sign * (c - p) > 0
                    for p, c in zip(sides["parent"], sides["change"]))
-        out[name] = {"better": "lower" if lower else "higher",
+        out[name] = {"better": better, "bound": bound,
                      "change_wins": wins, "pairs": len(pairs)}
         for side, values in sides.items():
             q1, _, q3 = statistics.quantiles(values, n=4)
             out[name][side] = {"median": statistics.median(values),
                                "q1": q1, "q3": q3}
+        rel = out[name]["change"]["median"] / out[name]["parent"]["median"] - 1
+        out[name].update(rel_change=rel, within_bound=sign * rel >= -bound)
     return out
 
 
@@ -72,6 +79,7 @@ def main(argv=None) -> int:
         p.error("--parent and --change resolve to paths of different lengths "
                 f"({trees['parent']}, {trees['change']}); peak_rss_mb moves "
                 "with the directory name, so use names of equal length")
+    benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     pairs, fingerprint = [], None
     for i in range(args.pairs):
         seed = args.first_seed + i
@@ -87,11 +95,10 @@ def main(argv=None) -> int:
                                    for m, v in pair[side]["metrics"].items()}
                             for side in ("parent", "change")}), flush=True)
 
-    seconds = json.loads((trees["change"] / "BENCHMARK.json").read_text())[
-        "run_seconds"]
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record.setdefault("workloads", {})[args.workload] = {
-        "seconds": seconds, "pairs": pairs, "summary": summarize(pairs)}
+        "seconds": benchmark["run_seconds"], "pairs": pairs,
+        "summary": summarize(pairs, benchmark)}
     record["fingerprint"] = fingerprint
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0

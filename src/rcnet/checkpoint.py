@@ -20,9 +20,10 @@ than silently truncated. Each parameter's optimizer state is the buffers
 that the header ``optimizer``'s update rule declares in its ``STATE``,
 stored as ``<name>.<key>`` for every parameter or, as before a first step,
 for none; a partial set is refused on save and on load. Adam's bias
-correction restarts from the header's ``updates``. Non-finite values are
-refused on save and on load. A save writes ``<path>.tmp`` and renames it
-over ``path``, so an interrupted save leaves the previous file intact. A
+correction restarts from the header's ``updates``. Non-finite values and
+headers training would not write are refused on save and on load. A
+save writes ``<path>.tmp`` and renames it over ``path``, so an
+interrupted save leaves the previous file intact. A
 load allocates the network the header describes, draws no init, and
 streams each tensor from the file straight into its array: it holds
 neither the file nor a table of copies, and checks every length it reads
@@ -96,7 +97,6 @@ def save_checkpoint(path, network: Network,
             f"not writing {path}: an untied expansion cannot be "
             f"checkpointed; its spec rebuilds the recurrent network")
     state = {**_EMPTY_TRAINER_STATE, **(trainer_state or {})}
-    _check_optimizer(state["optimizer"], f"not writing {path}: trainer_state")
     header = {
         "format_version": FORMAT_VERSION,
         "spec": asdict(network.spec),
@@ -107,6 +107,7 @@ def save_checkpoint(path, network: Network,
         "optimizer": state["optimizer"],
         "updates": int(state["updates"]),
     }
+    _check_header_state(header, network.spec.max_step, f"not writing {path}:")
     hbytes = json.dumps(header, sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
     table = _tensor_table(network, state["optimizer"])
@@ -251,30 +252,26 @@ def _read_tensors(src: _Source, expected: dict, buffers: dict) -> None:
     _check_all_or_none(seen, buffers, f"{path}: checkpoint stores")
 
 
-def _check_optimizer(optimizer, where: str) -> None:
-    """Raise CheckpointError unless ``optimizer`` names an update rule."""
-    names = tuple(OPTIMIZERS)
-    if optimizer not in names:  # a tuple: a JSON list is unhashable
-        raise CheckpointError(f"{where} optimizer must be one of {names}, "
-                              f"got {optimizer!r}")
-
-
-def _check_header_state(header: dict, max_step: int, path) -> None:
-    """Raise CheckpointError unless the header's trainer state and trained
-    support have the types and ranges that training writes."""
+def _check_header_state(header: dict, max_step: int, where) -> None:
+    """Raise CheckpointError, its message led by ``where``, unless the
+    header's trainer state and trained support have the types and ranges
+    that training writes."""
     for key in ("iteration", "epoch", "updates"):
         value = header.get(key, 0)
         if type(value) is not int or value < 0:
             raise CheckpointError(
-                f"{path}: header {key} must be an integer >= 0, got {value!r}")
-    _check_optimizer(header.get("optimizer", "sgd"), f"{path}: header")
+                f"{where} header {key} must be an integer >= 0, got {value!r}")
+    names, optimizer = tuple(OPTIMIZERS), header.get("optimizer", "sgd")
+    if optimizer not in names:  # a tuple: a JSON list is unhashable
+        raise CheckpointError(f"{where} header optimizer must be one of "
+                              f"{names}, got {optimizer!r}")
     rng = header.get("rng")
     if rng is not None:
         try:
             RngStreams(0).set_state(rng)
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise CheckpointError(
-                f"{path}: header rng is missing a stream or holds an "
+                f"{where} header rng is missing a stream or holds an "
                 f"invalid one ({e!r})") from e
     support = header.get("trained_support")
     if support is not None and not (
@@ -282,7 +279,7 @@ def _check_header_state(header: dict, max_step: int, path) -> None:
             and all(type(s) is int and 1 <= s <= max_step for s in support)
             and len(set(support)) == len(support)):
         raise CheckpointError(
-            f"{path}: header trained_support must be null or a non-empty "
+            f"{where} header trained_support must be null or a non-empty "
             f"list of distinct steps in [1, {max_step}], got {support!r}")
 
 
@@ -302,7 +299,7 @@ def _load(src: _Source) -> tuple[Network, dict]:
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(
             f"{src.path}: invalid network spec in header ({e})") from e
-    _check_header_state(header, spec.max_step, src.path)
+    _check_header_state(header, spec.max_step, f"{src.path}:")
     network = allocate_network(spec)
     _read_tensors(src, _tensor_table(network), _optimizer_buffers(
         network, header.get("optimizer", "sgd")))

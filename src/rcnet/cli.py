@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import build_datasets, parse_config
+from .config import build_datasets, build_set, parse_config
 from .data import read_pgm, read_rct, write_pgm, write_rct
 from .errors import (CheckpointError, ConfigError, DataError,
                      NumericalCheckError, RcnetError)
@@ -222,8 +222,7 @@ def cmd_eval(args) -> None:
                     f"{csv_path}: first line is not "
                     f"'{EVAL_HEADER.strip()}'; not appending to it")
     task = TASKS[spec.task]
-    _, test_set = build_datasets(cfg)
-    value = task.evaluate(network, test_set, args.step)
+    value = task.evaluate(network, build_set(cfg, "test"), args.step)
     print(f"metric={task.metric} step={args.step} value={value:.6f}")
 
     out_dir.mkdir(parents=True, exist_ok=True)

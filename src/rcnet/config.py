@@ -19,6 +19,7 @@ import configparser
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +29,23 @@ from .networks import TASK_BY_ARCH, NetworkSpec
 from .rc import StepDistribution
 from .training import TrainConfig, check_regime
 
-# data kind -> the task (NetworkSpec.task) whose train and test sets it builds
-DATA_KINDS = {"synthetic_classify": "classify", "cifar10": "classify",
-              "synthetic_denoise": "denoise", "pgm_folder": "denoise"}
+
+class DataKind(NamedTuple):
+    task: str                  # the NetworkSpec.task its sets train
+    fixes: dict                # the [network] values its data determines
+    reads_path: bool = False   # whether [data] path is required
+
+
+# a denoiser is grayscale (luminance conversion happens upstream) and has
+# no classes; CIFAR-10 is 3x32x32 in 10 classes
+_GRAYSCALE = {"image_channels": 1, "num_classes": 0}
+DATA_KINDS = {
+    "synthetic_classify": DataKind("classify", {}),
+    "cifar10": DataKind("classify", {"image_channels": 3, "image_size": 32,
+                                     "num_classes": 10}, reads_path=True),
+    "synthetic_denoise": DataKind("denoise", _GRAYSCALE),
+    "pgm_folder": DataKind("denoise", _GRAYSCALE, reads_path=True),
+}
 
 # defaults applied when regime = cost_adjustable leaves the step keys
 # untouched: higher probability on larger steps
@@ -69,7 +84,7 @@ def _parse_float_list(v):
 @dataclass
 class DataConfig:
     kind: str = "synthetic_classify"
-    path: str | None = None  # required for cifar10/pgm_folder
+    path: str | None = None  # required by the kinds that read files
     samples: int = 2000
     test_samples: int = 500
     pattern_noise: float = 0.15
@@ -80,7 +95,8 @@ class DataConfig:
 
     def __post_init__(self):
         # checked for every kind; ``not > 0`` fails a NaN sigma too
-        if self.kind in ("cifar10", "pgm_folder") and not self.path:
+        kind = DATA_KINDS.get(self.kind)
+        if kind is not None and kind.reads_path and not self.path:
             raise ConfigError(
                 f"[data] path is required for kind '{self.kind}'")
         for key in ("samples", "test_samples", "count", "test_count",
@@ -244,10 +260,9 @@ def _assemble(v: dict) -> ExperimentConfig:
 
     arch = net["arch"]
     task = TASK_BY_ARCH.get(arch)  # an unknown arch fails in NetworkSpec
-    if task == "denoise":
-        # a denoiser is grayscale (luminance conversion happens upstream)
-        # and has no classes
-        net["image_channels"], net["num_classes"] = 1, 0
+    kinds = [name for name, kind in DATA_KINDS.items() if kind.task == task]
+    if data_cfg.kind in kinds:
+        net.update(DATA_KINDS[data_cfg.kind].fixes)
     spec = NetworkSpec(
         arch=arch, task=task, bn_mode=net["bn_mode"],
         max_step=net["max_step"], widths=net["widths"],
@@ -255,7 +270,6 @@ def _assemble(v: dict) -> ExperimentConfig:
                      net["image_size"]),
         num_classes=net["num_classes"] if task == "classify" else None,
         bn_eps=net["bn_eps"], bn_momentum=net["bn_momentum"])
-    kinds = [kind for kind, t in DATA_KINDS.items() if t == task]
     if data_cfg.kind not in kinds:
         raise ConfigError(f"data kind '{data_cfg.kind}' cannot train "
                           f"arch '{arch}' (expected one of {kinds})")
@@ -267,43 +281,36 @@ def _assemble(v: dict) -> ExperimentConfig:
                             values=v)
 
 
-def build_datasets(cfg: ExperimentConfig):
-    """Materialize (train_set, test_set) for the configured data kind.
-
+def build_set(cfg: ExperimentConfig, split: str):
+    """The ``split`` ("train" or "test") set of the configured data kind.
     Seeds derive from the train seed through fixed stream keys, so one
-    config seed pins data generation, init, and the training loop.
-    """
+    config seed pins data generation, init, and the training loop."""
     spec, da, seed = cfg.network, cfg.data, cfg.train.seed
     c, h, _ = spec.image_shape
+    train = split == "train"
     if da.kind == "synthetic_classify":
-        train = data.make_synthetic_classification(
-            spec.num_classes, da.samples, h,
-            np.random.SeedSequence([seed, 11]), channels=c,
+        return data.make_synthetic_classification(
+            spec.num_classes, da.samples if train else da.test_samples, h,
+            np.random.SeedSequence([seed, 11 if train else 12]), channels=c,
             noise=da.pattern_noise)
-        test = data.make_synthetic_classification(
-            spec.num_classes, da.test_samples, h,
-            np.random.SeedSequence([seed, 12]), channels=c,
-            noise=da.pattern_noise)
-        return train, test
     if da.kind == "cifar10":
         if not Path(da.path).is_dir():  # one file: train set = test set
             raise DataError(f"cannot read CIFAR shards from {da.path}: not "
                             f"a directory of train and test shards")
-        return (data.load_cifar10(da.path, "train"),
-                data.load_cifar10(da.path, "test"))
+        return data.load_cifar10(da.path, split)
     if da.kind == "synthetic_denoise":
-        clean_train = data.make_synthetic_textures(
-            da.count, h, np.random.SeedSequence([seed, 21]))
-        clean_test = data.make_synthetic_textures(
-            da.test_count, h, np.random.SeedSequence([seed, 22]))
-    elif da.kind == "pgm_folder":
-        root = Path(da.path)
-        clean_train = data.load_pgm_folder(root / "train")
-        clean_test = data.load_pgm_folder(root / "test")
-    else:
-        raise DataError(f"unhandled data kind '{da.kind}'")
-    train = data.DenoiseSet(clean=clean_train, sigma=da.sigma,
-                            patch_size=da.patch_size)
-    test = data.make_denoise_eval_set(clean_test, da.sigma,
+        clean = data.make_synthetic_textures(
+            da.count if train else da.test_count, h,
+            np.random.SeedSequence([seed, 21 if train else 22]))
+    else:  # pgm_folder
+        clean = data.load_pgm_folder(Path(da.path) / split)
+    if train:
+        return data.DenoiseSet(clean=clean, sigma=da.sigma,
+                               patch_size=da.patch_size)
+    return data.make_denoise_eval_set(clean, da.sigma,
                                       np.random.SeedSequence([seed, 23]))
-    return train, test
+
+
+def build_datasets(cfg: ExperimentConfig):
+    """(train_set, test_set) of the configured data kind."""
+    return build_set(cfg, "train"), build_set(cfg, "test")

@@ -22,7 +22,8 @@ import numpy as np
 from . import functional as F
 from .autodiff import Parameter
 
-CELL_BN_SLOTS = {"preact_resblock": 2, "conv_bn_relu": 1}
+# cell body kind -> its 3x3 convs; each conv has one BN slot
+CELL_CONVS = {"preact_resblock": 2, "conv_bn_relu": 1}
 
 
 def init_weights(params, rng: np.random.Generator) -> None:
@@ -80,15 +81,14 @@ class CellBody:
 
     @property
     def bn_slots(self) -> int:
-        return CELL_BN_SLOTS[self.kind]
+        return len(self.convs)
 
     @staticmethod
     def create(kind: str, channels: int, dtype) -> "CellBody":
-        if kind not in CELL_BN_SLOTS:
+        if kind not in CELL_CONVS:
             raise ValueError(f"unknown cell kind '{kind}'")
-        n_convs = 2 if kind == "preact_resblock" else 1
         convs = [Parameter(np.zeros((channels, channels, 3, 3), dtype),
-                           is_shared=True) for _ in range(n_convs)]
+                           is_shared=True) for _ in range(CELL_CONVS[kind])]
         return CellBody(kind=kind, convs=convs, channels=channels)
 
 

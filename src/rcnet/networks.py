@@ -31,9 +31,6 @@ from .layers import (BnGroup, CellBody, ClassifierHead, ConvLayer, Module,
 from .rc import BN_MODES, BnBank, RcCell, unroll
 
 TASK_BY_ARCH = {"r2": "classify", "r3": "denoise", "r4": "classify"}
-ARCHS = tuple(TASK_BY_ARCH)
-CELL_KIND_BY_ARCH = {"r2": "preact_resblock", "r3": "conv_bn_relu",
-                     "r4": "preact_resblock"}
 DENOISE_SCALE = 255.0  # images stay on the 0-255 scale; see forward()
 
 
@@ -57,7 +54,7 @@ class NetworkSpec:
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         object.__setattr__(self, "image_shape",
                            tuple(int(v) for v in self.image_shape))
-        if self.arch not in ARCHS:
+        if self.arch not in TASK_BY_ARCH:
             raise ConfigError(f"unknown arch '{self.arch}'")
         if self.bn_mode not in BN_MODES:
             raise ConfigError(f"unknown bn_mode '{self.bn_mode}'")
@@ -107,10 +104,6 @@ class NetworkSpec:
         """Image H and W must divide by this: r2 and r4 halve them three
         times, r3 keeps the resolution."""
         return 1 if self.arch == "r3" else 8
-
-    @property
-    def cell_kind(self) -> str:
-        return CELL_KIND_BY_ARCH[self.arch]
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +272,9 @@ def _bank(spec: NetworkSpec, channels: int, slots: int = 1,
                   spec.bn_eps, spec.bn_momentum, unrolled)
 
 
-def _make_cell(spec: NetworkSpec, width: int, pool_after_half: bool) -> RcCell:
-    body = CellBody.create(spec.cell_kind, width, spec.dtype)
+def _make_cell(spec: NetworkSpec, kind: str, width: int,
+               pool_after_half: bool = False) -> RcCell:
+    body = CellBody.create(kind, width, spec.dtype)
     bank = _bank(spec, width, body.bn_slots, unrolled=True)
     return RcCell(body, bank, pool_after_half)
 
@@ -290,9 +284,11 @@ def _build_r2(spec: NetworkSpec) -> Network:
     w1, w2 = spec.widths
     mods = [
         ("stem", ConvLayer(c, w1, spec.dtype)),
-        ("cell1", _make_cell(spec, w1, pool_after_half=True)),
+        ("cell1", _make_cell(spec, "preact_resblock", w1,
+                             pool_after_half=True)),
         ("invpool", PoolModule("invpool")),
-        ("cell2", _make_cell(spec, w2, pool_after_half=True)),
+        ("cell2", _make_cell(spec, "preact_resblock", w2,
+                             pool_after_half=True)),
         ("head", ClassifierHead(_bank(spec, w2), spec.num_classes,
                                 spec.dtype)),
     ]
@@ -304,7 +300,7 @@ def _build_r3(spec: NetworkSpec) -> Network:
     w = spec.widths[0]
     mods: list = [("stem", ConvLayer(c, w, spec.dtype))]
     for i in range(1, 4):
-        mods.append((f"cell{i}", _make_cell(spec, w, pool_after_half=False)))
+        mods.append((f"cell{i}", _make_cell(spec, "conv_bn_relu", w)))
     mods.append(("head", ConvLayer(w, c, spec.dtype)))
     return Network(spec, mods)
 
@@ -323,7 +319,7 @@ def _build_r4(spec: NetworkSpec) -> Network:
             _bank(spec, in_ch, step_free=fixed),
             _bank(spec, w, step_free=fixed),
             downsample=i > 1, dtype=spec.dtype)))
-        mods.append((f"cell{i}", _make_cell(spec, w, pool_after_half=False)))
+        mods.append((f"cell{i}", _make_cell(spec, "preact_resblock", w)))
         in_ch = w
     mods.append(("head", ClassifierHead(_bank(spec, widths[-1]),
                                         spec.num_classes, spec.dtype)))

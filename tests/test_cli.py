@@ -15,7 +15,7 @@ from conftest import (build_seeded, checkpoint_records, join_checkpoint,
                       mutations, poison_checkpoint, small_r2_spec,
                       small_r3_spec)
 from rcnet import cli
-from rcnet.checkpoint import save_checkpoint
+from rcnet.checkpoint import load_checkpoint, save_checkpoint
 from rcnet.cli import main
 from rcnet.config import DataConfig, OutputConfig, parse_config
 from rcnet.data import (make_synthetic_classification,
@@ -102,6 +102,33 @@ test_samples = 10
 [output]
 dir = {out}
 """
+
+
+# a cifar10 run that leaves every [network] key at its default
+CIFAR_DEFAULT_NETWORK = """
+[train]
+epochs = 1
+batch_size = 20
+
+[data]
+kind = cifar10
+path = {path}
+
+[output]
+dir = {out}
+"""
+
+
+def write_cifar_shards(root, records=20):
+    """The five training shards and the test shard of CIFAR-10's binary
+    layout, each ``records`` records of random pixels and labels 0-9."""
+    rng = np.random.default_rng(0)
+    root.mkdir(parents=True)
+    for name in [f"data_batch_{i}.bin" for i in range(1, 6)] \
+            + ["test_batch.bin"]:
+        rec = rng.integers(0, 256, (records, 3073), dtype=np.uint8)
+        rec[:, 0] %= 10
+        (root / name).write_bytes(rec.tobytes())
 
 
 def write_cfg(tmp_path, text, name="cfg.ini", **fmt):
@@ -435,6 +462,29 @@ class TestEvalInferCommands:
                      "--config", cfg, "--step", s, "--out-dir", tmp / "ev2"])
         rows = (tmp / "ev2" / "eval.csv").read_text().splitlines()
         assert len(rows) == 3  # header + 2 steps
+
+    def test_eval_builds_only_the_test_split(self, trained, tmp_path,
+                                             monkeypatch, capsys):
+        from rcnet import config, data
+        from rcnet.training import TASKS
+        tmp, cfg = trained
+        ckpt = tmp / "run" / "last.ckpt"
+        real, sizes = data.make_synthetic_classification, []
+
+        def counted(num_classes, samples, *args, **kwargs):
+            sizes.append(samples)
+            return real(num_classes, samples, *args, **kwargs)
+
+        monkeypatch.setattr(data, "make_synthetic_classification", counted)
+        assert run_cli(["eval", "--checkpoint", ckpt, "--config", cfg,
+                        "--step", "3", "--out-dir", tmp_path / "ev"]) == 0
+        assert sizes == [50]  # test_samples
+        # the value is that of training's test set
+        _, test_set = config.build_datasets(parse_config(cfg))
+        want = TASKS["classify"].evaluate(load_checkpoint(ckpt)[0],
+                                          test_set, 3)
+        assert f"metric=err step=3 value={want:.6f}\n" in \
+            capsys.readouterr().out
 
     def test_unsupported_step_exit_code_2(self, trained, capsys):
         tmp, cfg = trained
@@ -800,8 +850,8 @@ class TestBadInputExitCodes:
         ("cifar-shard-is-dir", 3), ("infer-output-in-missing-dir", 2),
         ("export-bn-out-in-missing-dir", 2), ("eval-out-dir-is-file", 2),
         ("cost-out-dir-is-file", 2), ("export-features-out-dir-is-file", 2),
-        ("cifar-path-is-a-file", 3),
-        ("train-out-dir-under-file", 2)])
+        ("cifar-path-is-a-file", 3), ("cifar-missing-shard", 3),
+        ("cifar-label-above-9", 3), ("train-out-dir-under-file", 2)])
     def test_unreadable_shard_or_unwritable_output_exit_code(
             self, trained, tmp_path, what, code):
         import rcnet
@@ -824,9 +874,26 @@ class TestBadInputExitCodes:
             "kind = synthetic_classify",
             f"kind = cifar10\npath = {tmp_path / 'one.bin'}"),
             "one.ini", out=tmp_path / "run")
+        # shards 1-4 and the test shard; then all six, one label byte 10
+        missing_shard, bad_label = tmp_path / "c_missing", tmp_path / "c_label"
+        write_cifar_shards(missing_shard)
+        (missing_shard / "data_batch_5.bin").unlink()
+        write_cifar_shards(bad_label)
+        with open(bad_label / "data_batch_3.bin", "r+b") as f:
+            f.seek(3 * 3073)
+            f.write(bytes([10]))
+        shard_cfgs = {case: write_cfg(tmp_path, TOY_CLASSIFY.replace(
+            "kind = synthetic_classify", f"kind = cifar10\npath = {root}"),
+            f"{case}.ini", out=tmp_path / "run")
+            for case, root in (("cifar-missing-shard", missing_shard),
+                               ("cifar-label-above-9", bad_label))}
         args = {
             "cifar-shard-is-dir": ["train", "--config", cifar_cfg],
             "cifar-path-is-a-file": ["train", "--config", one_cfg],
+            "cifar-missing-shard": ["train", "--config",
+                                    shard_cfgs["cifar-missing-shard"]],
+            "cifar-label-above-9": ["train", "--config",
+                                    shard_cfgs["cifar-label-above-9"]],
             "infer-output-in-missing-dir": [
                 "infer", "--checkpoint", ckpt, "--input", x, "--step", "3",
                 "--output", missing / "y.rct"],
@@ -852,8 +919,13 @@ class TestBadInputExitCodes:
                            env=env, capture_output=True, text=True)
         assert r.returncode == code
         assert "Traceback" not in r.stderr
-        assert ("cannot read CIFAR shard" if code == 3
-                else "cannot write output") in r.stderr
+        message = {
+            "cifar-missing-shard": "missing CIFAR shards: ['"
+                                   f"{missing_shard / 'data_batch_5.bin'}']",
+            "cifar-label-above-9": "data_batch_3.bin has label byte 10 > 9",
+        }.get(what, "cannot read CIFAR shard" if code == 3
+              else "cannot write output")
+        assert message in r.stderr
         assert not (tmp_path / "run").exists()
 
     def test_resume_of_another_network_exit_code_4(self, tmp_path, capsys):
@@ -928,6 +1000,22 @@ class TestBadInputExitCodes:
         assert code == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["infer", "export-features"])
+    def test_input_of_another_format_exit_code_3(self, trained, tmp_path,
+                                                 command, capsys):
+        tmp, _ = trained
+        (tmp_path / "x.txt").write_text("0 0 0\n")
+        extra = (["--output", tmp_path / "y.rct"] if command == "infer"
+                 else ["--cell", "cell1", "--out-dir", tmp_path / "feat"])
+        code = run_cli([command, "--checkpoint", tmp / "run" / "last.ckpt",
+                        "--input", tmp_path / "x.txt", "--step", "3"]
+                       + extra)
+        assert code == 3
+        assert "x.txt: expected a .pgm or .rct input" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "y.rct").exists()
+        assert not (tmp_path / "feat").exists()
+
     def test_spec_without_arch_exit_code_4(self, trained, tmp_path):
         tmp, cfg = trained
         bad = tmp_path / "noarch.ckpt"
@@ -958,16 +1046,24 @@ class TestBadInputExitCodes:
         assert err.count("checkpoint error:") == 2
         assert err.count("invalid network spec in header") == 2
 
-    @pytest.mark.parametrize("edit", [
-        lambda header: header.update(epoch="x"),
-        lambda header: header.update(epoch=-1),
-        lambda header: header.update(iteration=2.5),
-        lambda header: header["rng"].pop("init"),
-        lambda header: header["rng"]["noise"].update(bit_generator="MT19937"),
+    @pytest.mark.parametrize("edit,message", [
+        (lambda header: header.update(epoch="x"),
+         "header epoch must be an integer >= 0"),
+        (lambda header: header.update(epoch=-1),
+         "header epoch must be an integer >= 0"),
+        (lambda header: header.update(iteration=2.5),
+         "header iteration must be an integer >= 0"),
+        (lambda header: header["rng"].pop("init"),
+         "header rng is missing a stream"),
+        (lambda header: header["rng"]["noise"].update(
+            bit_generator="MT19937"), "header rng is missing a stream"),
+        # the header of a checkpoint saved without trainer state
+        (lambda header: header.update(rng=None),
+         "no trainer state; cannot resume"),
     ], ids=["epoch-string", "epoch-negative", "iteration-float",
-            "rng-missing-stream", "rng-other-generator"])
+            "rng-missing-stream", "rng-other-generator", "no-trainer-state"])
     def test_bad_trainer_state_exit_code_4(self, trained, tmp_path, edit,
-                                           capsys):
+                                           message, capsys):
         # epochs = 2, so a resume of the 1-epoch checkpoint would train
         tmp, _ = trained
         cfg = write_cfg(tmp_path, TOY_CLASSIFY.replace("epochs = 1",
@@ -976,7 +1072,8 @@ class TestBadInputExitCodes:
         bad = tmp_path / "bad.ckpt"
         edit_stored_header(tmp / "run" / "last.ckpt", bad, edit)
         assert run_cli(["train", "--config", cfg, "--resume", bad]) == 4
-        assert "checkpoint error: " in capsys.readouterr().err
+        assert f"checkpoint error: {bad}: {message}" in \
+            capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("support", [[9], [2, 2], [], "2,3"],
@@ -1039,6 +1136,19 @@ class TestBadInputExitCodes:
             assert run_cli(["expand-check", "--checkpoint", bad,
                             "--step", "2"]) == 4
             assert "truncated" in capsys.readouterr().err
+
+    def test_header_that_is_not_json_exit_code_4(self, trained, tmp_path,
+                                                 capsys):
+        import struct
+        tmp, _ = trained
+        raw = (tmp / "run" / "last.ckpt").read_bytes()
+        hlen, = struct.unpack_from("<Q", raw, 12)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:20] + b"x" * hlen + raw[20 + hlen:])
+        assert run_cli(["expand-check", "--checkpoint", bad,
+                        "--step", "2"]) == 4
+        assert f"checkpoint error: {bad}: corrupt header JSON" in \
+            capsys.readouterr().err
 
     def test_partial_optimizer_state_exit_code_4(self, trained, tmp_path):
         # a checkpoint holds the momentum of every parameter or of none
@@ -1247,16 +1357,7 @@ class TestCommandIdempotence:
         assert ckpt.read_bytes() == before
 
 
-class TestPgmFolderTraining:
-    def test_pgm_folder_with_patches(self, tmp_path):
-        from rcnet.data import make_synthetic_textures, write_pgm
-        root = tmp_path / "bsd"
-        for seed, (split, count) in enumerate((("train", 6), ("test", 2))):
-            (root / split).mkdir(parents=True)
-            for i, img in enumerate(make_synthetic_textures(count, 48, seed)):
-                write_pgm(root / split / f"im{i:02d}.pgm", img[0])
-        cfg = tmp_path / "folder.ini"
-        cfg.write_text(f"""
+PGM_FOLDER = """
 [network]
 arch = r3
 bn_mode = independent
@@ -1280,10 +1381,78 @@ sigma = 25
 patch_size = 40
 
 [output]
-dir = {tmp_path / "brun"}
-""")
+dir = {out}
+"""
+
+
+class TestPgmFolderTraining:
+    @staticmethod
+    def write_folder(root):
+        for seed, (split, count) in enumerate((("train", 6), ("test", 2))):
+            (root / split).mkdir(parents=True)
+            for i, img in enumerate(make_synthetic_textures(count, 48, seed)):
+                write_pgm(root / split / f"im{i:02d}.pgm", img[0])
+
+    def test_pgm_folder_with_patches(self, tmp_path):
+        root = tmp_path / "bsd"
+        self.write_folder(root)
+        cfg = write_cfg(tmp_path, PGM_FOLDER, "folder.ini", root=root,
+                        out=tmp_path / "brun")
         assert run_cli(["train", "--config", cfg]) == 0
         assert (tmp_path / "brun" / "last.ckpt").exists()
+
+    @pytest.mark.parametrize("damage,message", [
+        ("empty-train", "no .pgm files in {train}"),
+        ("mixed-sizes", "{train}: mixed image sizes [(40, 40), (48, 48)]")])
+    def test_unusable_folder_exit_code_3(self, tmp_path, damage, message,
+                                         capsys):
+        root = tmp_path / "bsd"
+        self.write_folder(root)
+        if damage == "empty-train":
+            for f in (root / "train").glob("*.pgm"):
+                f.unlink()
+        else:
+            write_pgm(root / "train" / "small.pgm",
+                      make_synthetic_textures(1, 40, 9)[0, 0])
+        cfg = write_cfg(tmp_path, PGM_FOLDER, "folder.ini", root=root,
+                        out=tmp_path / "brun")
+        assert run_cli(["train", "--config", cfg]) == 3
+        assert "data error: " + message.format(train=root / "train") in \
+            capsys.readouterr().err
+        assert not (tmp_path / "brun").exists()
+
+
+class TestCifar10Kind:
+    def test_default_network_takes_the_data_shape(self, tmp_path, capsys):
+        # the kind fixes 3x32x32 and 10 classes over the [network]
+        # defaults (16 px, 3 classes), for training, resolved.ini, the
+        # checkpoint and cost alike
+        cifar, run = tmp_path / "cifar", tmp_path / "run"
+        write_cifar_shards(cifar)
+        cfg = write_cfg(tmp_path, CIFAR_DEFAULT_NETWORK, path=cifar, out=run)
+        assert run_cli(["train", "--config", cfg]) == 0
+        assert "\nimage_channels = 3\nimage_size = 32\nnum_classes = 10\n" \
+            in (run / "resolved.ini").read_text()
+        spec = load_checkpoint(run / "last.ckpt")[0].spec
+        assert (spec.image_shape, spec.num_classes) == ((3, 32, 32), 10)
+        stated = write_cfg(tmp_path, "[network]\nimage_size = 32\n"
+                           "num_classes = 10\n", "stated.ini")
+        capsys.readouterr()
+        reports = []
+        for config, out in ((cfg, "cost"), (stated, "stated_cost")):
+            assert run_cli(["cost", "--config", config,
+                            "--out-dir", tmp_path / out]) == 0
+            reports.append((capsys.readouterr().out,
+                            (tmp_path / out / "cost.csv").read_bytes()))
+        assert reports[0] == reports[1]
+        # eval reads the test shard only
+        for shard in cifar.glob("data_batch_*.bin"):
+            shard.unlink()
+        assert run_cli(["eval", "--checkpoint", run / "last.ckpt",
+                        "--config", cfg, "--step", "3",
+                        "--out-dir", tmp_path / "ev"]) == 0
+        assert (tmp_path / "ev" / "eval.csv").read_text().startswith(
+            "metric,step,value\nerr,3,")
 
 
 class TestThreadCap:

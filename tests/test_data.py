@@ -574,6 +574,27 @@ class TestCheckpoint:
                             {"optimizer": optimizer})
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("state,support,message", [
+        ({"iteration": -1}, None, "iteration must be an integer >= 0"),
+        ({}, [3], r"trained_support must be null .* in \[1, 2\]"),
+        ({"rng": {"init": 1}}, None, "rng is missing a stream")],
+        ids=["iteration-negative", "support-above-max-step",
+             "rng-not-stream-states"])
+    def test_header_a_load_refuses_never_written(self, tmp_path, state,
+                                                 support, message):
+        # the save replaces its path, so a header the load refuses would
+        # cost the good checkpoint there
+        net = build_seeded(small_r2_spec(max_step=2))
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(p, net)
+        before = p.read_bytes()
+        net.trained_support = support
+        with pytest.raises(CheckpointError,
+                           match=rf"not writing .*x\.ckpt: header {message}"):
+            save_checkpoint(p, net, state)
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
+
     def test_untied_expansion_never_written(self, tmp_path):
         # its header spec would rebuild the recurrent network, whose
         # tensor names the untied copies do not have
